@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_density
 from macrosize import fisher, quantum, wigner
 from macrosize.errors import DomainError
 from macrosize.wigner import (
@@ -232,3 +235,64 @@ def test_auto_dim_raise():
     report = reconstruct(grid)
     assert report.dim > wigner.DEFAULT_DIM
     assert report.diagonal_tail <= wigner.DIAGONAL_TAIL_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# streamed kernels against the per-pair fock_kernel oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_synth_and_overlap(rho, values, xs, ps):
+    """Per-pair fock_kernel sums: W of rho, and the raw overlaps of values."""
+    xg, pg = np.meshgrid(xs, ps, indexing="xy")
+    area = (xs[1] - xs[0]) * (ps[1] - ps[0])
+    dim = rho.shape[0]
+    w = np.zeros(xg.shape)
+    overlaps = np.empty((dim, dim), dtype=complex)
+    for m in range(dim):
+        for n in range(m + 1):
+            kernel = wigner.fock_kernel(m, n, xg, pg)
+            w += (1.0 if m == n else 2.0) * np.real(rho[m, n] * kernel)
+            val = 2.0 * math.pi * np.sum(values * np.conj(kernel)) * area
+            overlaps[m, n] = val
+            overlaps[n, m] = np.conj(val)
+    return w, overlaps
+
+
+@pytest.mark.parametrize(
+    "dim,x_axis,p_axis",
+    [
+        (2, (-6.0, 6.0, 41), (-6.0, 6.0, 41)),
+        (32, (-7.0, 7.0, 71), (-7.0, 7.0, 71)),
+        # off-centre patch, as a measured window around a displaced state
+        (61, (3.1, 11.1, 33), (-9.4, -1.4, 33)),
+        # +-22 reaches r^2 = 968, where exp(-r^2) underflows
+        (200, (-22.0, 22.0, 17), (-22.0, 22.0, 17)),
+    ],
+)
+def test_streamed_kernels_match_fock_kernel(rng, dim, x_axis, p_axis):
+    rho = random_density(rng, dim)
+    xs, ps = np.linspace(*x_axis), np.linspace(*p_axis)
+    values = rng.standard_normal((p_axis[2], x_axis[2]))
+    w_oracle, overlaps_oracle = _oracle_synth_and_overlap(rho, values, xs, ps)
+    w = wigner.synth_values(rho, xs, ps)
+    assert np.max(np.abs(w - w_oracle)) < 1e-10
+    grid = WignerGrid(*x_axis, *p_axis, values)
+    overlaps = wigner._overlap_reconstruct(grid, dim)
+    assert np.max(np.abs(overlaps - overlaps_oracle)) < 1e-10
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=8),
+    rank=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=50, deadline=None)
+def test_synth_reconstruct_roundtrip(dim, rank, seed):
+    # rank 1 draws a pure state; reconstruction runs at dim 8 throughout.
+    rho = random_density(np.random.default_rng(seed), dim, min(rank, dim))
+    grid = synth_grid(rho, (-9.0, 9.0, 91), (-9.0, 9.0, 91))
+    report = reconstruct(grid, 8)
+    expected = np.zeros((8, 8), dtype=complex)
+    expected[:dim, :dim] = rho
+    assert np.max(np.abs(report.rho - expected)) < 1e-9
