@@ -243,6 +243,11 @@ def cmd_measure(args, out: Output) -> int:
         out.add("theta_star", theta, "rad")
         out.add("fhat", result.value)
         out.note("fhat in the vacuum => 2.0 quadrature convention")
+        if result.diagnostics["isotropic"]:
+            out.note(
+                "isotropic state: every quadrature maximizes the QFI; "
+                "theta_star is 0 by convention"
+            )
     else:
         if "zero_point" in cfg:
             mode = oscillator.OscillatorMode(

@@ -8,7 +8,18 @@ spectral decomposition
 
 restricted to pairs with ``l_i + l_j`` above a deterministic threshold.
 For pure states this reduces to four times the variance, which is used
-as a fast path.
+as a fast path.  Both paths give the QFI matrix of several generators,
+
+    F_ab = 2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) Re(<i|A|j> conj(<i|B|j>)),
+
+or 4 (0.5 tr rho{A, B} - <A><B>) for pure states, with the QFI of one
+generator its 1x1 case.  The QFI of a quadrature cos(theta) x + sin(theta) p
+is the quadratic form of the 2x2 matrix of (x, p), so its maximum over
+theta is the matrix's top eigenvalue (Paris, Int. J. Quantum Inf. 7, 125
+(2009); Liu et al., J. Phys. A 53, 023001 (2020)).  When the two
+eigenvalues agree to ``ISOTROPY_FACTOR`` the state is isotropic and the
+maximizing angle is 0 by convention.  The state is validated once, where
+it enters a public function.
 """
 
 from __future__ import annotations
@@ -24,6 +35,9 @@ from .errors import DomainError
 # Spectral pairs with l_i + l_j below this times the top eigenvalue are 0/0
 # artifacts of rank deficiency and are excluded (count reported).
 PAIR_THRESHOLD_FACTOR = 1e-12
+# A 2x2 QFI matrix whose eigengap is at most this times its top eigenvalue
+# is isotropic: every quadrature is a maximum and theta_star is 0.0.
+ISOTROPY_FACTOR = 1e-9
 # Grid cells with p below this times max(p) would let numerical tails of
 # p'^2/p dominate the classical FI integral; they are excluded instead.
 FLOOR_FACTOR = 1e-12
@@ -71,37 +85,64 @@ def covariance(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     ) * quantum.expectation(rho, b)
 
 
-def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
-    """Quantum Fisher information of ``rho`` with respect to ``operator``."""
-    rho, operator = _check_pair(rho, operator)
+def _qfi_matrix(rho: np.ndarray, operators):
+    """QFI matrix F_ab of a validated ``rho`` for Hermitian generators A_a.
+
+    Returns ``(F, method, diagnostics, discarded)``.  ``discarded`` is None on
+    the pure path; on the spectral path it is the matrix sum over the
+    discarded pairs of Re(<i|A_a|j> conj(<i|A_b|j>)), which callers contract
+    with the direction they report.
+    """
+    count = len(operators)
+    matrix = np.empty((count, count))
     pur = quantum.purity(rho)
     if pur > quantum.PURITY_PURE_THRESHOLD:
-        mean = quantum.expectation(rho, operator)
-        second = quantum.expectation(rho, operator @ operator)
-        value = 4.0 * (second - mean * mean)
-        return FisherResult(max(value, 0.0), "pure-variance", {"purity": pur})
+        # For Hermitian rho, A and B, 0.5 tr rho{A, B} = Re tr(rho A B).
+        means = [quantum.expectation(rho, op) for op in operators]
+        for a in range(count):
+            for b in range(a, count):
+                second = quantum.expectation(rho, operators[a] @ operators[b])
+                matrix[a, b] = matrix[b, a] = 4.0 * (second - means[a] * means[b])
+        return matrix, "pure-variance", {"purity": pur}, None
 
     lam, vec = quantum.eigh(rho)
-    a_eig = vec.conj().T @ operator @ vec
+    rotated = [vec.conj().T @ op @ vec for op in operators]
     sums = lam[:, None] + lam[None, :]
     diffs = lam[:, None] - lam[None, :]
     threshold = PAIR_THRESHOLD_FACTOR * float(lam[0])
     keep = sums > threshold
     weights = np.zeros_like(sums)
     weights[keep] = diffs[keep] ** 2 / sums[keep]
-    value = 2.0 * float(np.sum(weights * np.abs(a_eig) ** 2))
-    discarded = int(np.count_nonzero(~keep))
-    discarded_mass = float(np.sum(np.abs(a_eig[~keep]) ** 2))
-    return FisherResult(
-        max(value, 0.0),
-        "spectral",
-        {
-            "purity": pur,
-            "discarded_pairs": discarded,
-            "discarded_overlap_mass": discarded_mass,
-            "pair_threshold": threshold,
-        },
-    )
+    discarded = np.empty((count, count))
+    for a in range(count):
+        for b in range(a, count):
+            if a == b:
+                overlap = np.abs(rotated[a]) ** 2
+            else:
+                overlap = np.real(rotated[a] * np.conj(rotated[b]))
+            matrix[a, b] = matrix[b, a] = 2.0 * float(np.sum(weights * overlap))
+            discarded[a, b] = discarded[b, a] = float(np.sum(overlap[~keep]))
+    diagnostics = {
+        "purity": pur,
+        "discarded_pairs": int(np.count_nonzero(~keep)),
+        "pair_threshold": threshold,
+    }
+    return matrix, "spectral", diagnostics, discarded
+
+
+def _result(value, method, diagnostics, discarded, direction) -> FisherResult:
+    """FisherResult clamped at 0, with the discarded mass along ``direction``."""
+    if discarded is not None:
+        mass = float(direction @ discarded @ direction)
+        diagnostics = dict(diagnostics, discarded_overlap_mass=mass)
+    return FisherResult(max(value, 0.0), method, diagnostics)
+
+
+def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
+    """Quantum Fisher information of ``rho`` with respect to ``operator``."""
+    rho, operator = _check_pair(rho, operator)
+    matrix, method, diagnostics, discarded = _qfi_matrix(rho, [operator])
+    return _result(float(matrix[0, 0]), method, diagnostics, discarded, np.ones(1))
 
 
 def sub_qfi_f2(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
@@ -150,54 +191,40 @@ def binary_trial_fi(probability: float, derivative: float) -> float:
     return derivative**2 / (probability * (1.0 - probability))
 
 
-def qfi_max_quadrature(
-    rho: np.ndarray,
-    x_op: np.ndarray,
-    p_op: np.ndarray,
-    angle_count: int = 64,
-):
+def qfi_max_quadrature(rho: np.ndarray, x_op: np.ndarray, p_op: np.ndarray):
     """Maximize QFI over quadratures A(theta) = cos(theta) x + sin(theta) p.
 
-    A coarse scan over ``theta in [0, pi)`` brackets the maximum, which is
-    then refined by golden-section search to 1e-4 rad.  The returned value
-    is never below any scanned value.
+    F(theta) = u^T F u with u = (cos theta, sin theta) and F the 2x2 QFI
+    matrix of the generators (x, p) (Paris, Int. J. Quantum Inf. 7, 125
+    (2009); Liu et al., J. Phys. A 53, 023001 (2020)), built from one
+    density check and at most one spectral decomposition.  Returns
+    ``(theta_star, result)``: the top eigenvalue of F and the angle of its
+    eigenvector modulo pi.  When the eigengap is at most ``ISOTROPY_FACTOR``
+    times the top eigenvalue every quadrature is a maximum, and
+    ``theta_star`` is 0.0 by convention.  ``result.diagnostics`` reports
+    ``eigengap`` and ``isotropic``.
     """
-    if angle_count < 8:
-        raise DomainError(f"angle_count must be >= 8, got {angle_count}")
     rho = quantum.validate_density(rho)
     x_op = quantum.require_hermitian(x_op, "x quadrature")
     p_op = quantum.require_hermitian(p_op, "p quadrature")
-
-    def f_of(theta: float) -> float:
-        return qfi(rho, math.cos(theta) * x_op + math.sin(theta) * p_op).value
-
-    thetas = np.linspace(0.0, math.pi, angle_count, endpoint=False)
-    values = np.array([f_of(t) for t in thetas])
-    best = int(np.argmax(values))
-    step = math.pi / angle_count
-
-    # Golden-section refinement on the bracketing interval (F is smooth and
-    # pi-periodic, so the grid maximum brackets the true one).
-    lo = thetas[best] - step
-    hi = thetas[best] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f_of(c), f_of(d)
-    while hi - lo > 1e-4:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f_of(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f_of(d)
-    theta_star = 0.5 * (lo + hi) % math.pi
-    refined = f_of(theta_star)
-    candidates = [(refined, theta_star)] + list(zip(values, thetas))
-    best_value, best_theta = max(candidates, key=lambda pair: pair[0])
-    result = qfi(rho, math.cos(best_theta) * x_op + math.sin(best_theta) * p_op)
-    return float(best_theta), FisherResult(
-        best_value, result.method, dict(result.diagnostics, scanned=angle_count)
-    )
+    if not rho.shape == x_op.shape == p_op.shape:
+        raise DomainError(
+            f"dimension mismatch: state {rho.shape} vs quadratures "
+            f"{x_op.shape}, {p_op.shape}"
+        )
+    matrix, method, diagnostics, discarded = _qfi_matrix(rho, [x_op, p_op])
+    (f_xx, f_xp), (_f_px, f_pp) = matrix
+    # F(theta) = (f_xx + f_pp) / 2 + (f_xx - f_pp) / 2 cos 2theta + f_xp sin 2theta
+    eigengap = math.hypot(f_xx - f_pp, 2.0 * f_xp)
+    top = 0.5 * (f_xx + f_pp + eigengap)
+    isotropic = bool(eigengap <= ISOTROPY_FACTOR * top)
+    theta = 0.5 * math.atan2(2.0 * f_xp, f_xx - f_pp)
+    if isotropic:
+        theta = 0.0
+    elif theta < 0.0:
+        # atan2 gives 2 theta in (-pi, pi]; a rounding-level negative angle
+        # folds to 0.0, not to pi.
+        theta = (theta + math.pi) % math.pi
+    diagnostics.update(eigengap=eigengap, isotropic=isotropic)
+    direction = np.array([math.cos(theta), math.sin(theta)])
+    return theta, _result(float(top), method, diagnostics, discarded, direction)

@@ -198,12 +198,16 @@ def fock_kernel(m: int, n: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     if m < n:
         return np.conj(fock_kernel(n, m, x, p))
     r2 = x * x + p * p
+    damping = np.exp(-r2)
+    # Where exp(-r^2) underflows the kernel is exactly 0; zeroing r there
+    # keeps the polynomial factors finite, so the product is 0, not 0 * inf.
+    inside = damping > 0.0
     log_coeff = 0.5 * ((m - n) * math.log(2.0) + gammaln(n + 1) - gammaln(m + 1))
     base = ((-1.0) ** n / math.pi) * math.exp(log_coeff)
-    poly = eval_genlaguerre(n, m - n, 2.0 * r2)
+    poly = eval_genlaguerre(n, m - n, 2.0 * np.where(inside, r2, 0.0))
     if m == n:
-        return base * np.exp(-r2) * poly
-    return base * (x - 1j * p) ** (m - n) * np.exp(-r2) * poly
+        return base * damping * poly
+    return base * np.where(inside, x - 1j * p, 0.0) ** (m - n) * damping * poly
 
 
 def _fock_diagonals(x: np.ndarray, p: np.ndarray, dim: int):
@@ -214,9 +218,13 @@ def _fock_diagonals(x: np.ndarray, p: np.ndarray, dim: int):
     ``laguerre`` lazily yields the real l_n = sqrt(n! k! / (n+k)!) L_n^k(2 r^2)
     for n < dim - k by the three-term recurrence.  Both factors stay O(1) in
     magnitude, and a diagonal holds only two real grid arrays at a time.
+    Where exp(-r^2) underflows to 0, y = 2 r^2 is set to 0 so that l_n stays
+    finite and the kernel is exactly 0; for dim <= 200 the true kernel there
+    is below e^-140.
     """
     r2 = x * x + p * p
-    y = 2.0 * r2
+    damping = np.exp(-r2)
+    y = np.where(damping > 0.0, 2.0 * r2, 0.0)
     z = x - 1j * p
 
     def laguerre(k: int):
@@ -229,7 +237,7 @@ def _fock_diagonals(x: np.ndarray, p: np.ndarray, dim: int):
             prev, ell = ell, nxt
             yield ell
 
-    angular = np.exp(-r2).astype(complex)
+    angular = damping.astype(complex)
     for k in range(dim):
         if k:
             angular = angular * z * math.sqrt(2.0 / k)
@@ -368,11 +376,7 @@ def reconstruct(
     return report
 
 
-def qfi_from_grid(
-    grid: WignerGrid,
-    dim: int | None = None,
-    angle_count: int = 64,
-):
+def qfi_from_grid(grid: WignerGrid, dim: int | None = None):
     """Reconstruct and maximize the QFI over quadrature directions.
 
     Returns ``(theta_star, fhat, report)`` with ``fhat`` in the convention
@@ -380,7 +384,7 @@ def qfi_from_grid(
     """
     report = reconstruct(grid, dim)
     _a, x_op, p_op = quantum.fock_operators(report.dim, nu=0.5, hbar=1.0)
-    theta, result = fisher.qfi_max_quadrature(report.rho, x_op, p_op, angle_count)
+    theta, result = fisher.qfi_max_quadrature(report.rho, x_op, p_op)
     return theta, result.value, report
 
 

@@ -98,6 +98,20 @@ def test_measure_fock_cat(tmp_path, capsys):
         next(l for l in out.splitlines() if l.startswith("theta_star")).split()[1]
     )
     assert min(theta, math.pi - theta) == pytest.approx(0.0, abs=1e-3)
+    assert "isotropic" not in out
+
+
+def test_measure_fock_thermal_isotropic_note(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "thermal.json",
+        {"system": "fock", "kind": "thermal", "dim": 60, "nbar": 1.5},
+    )
+    code, out, _err = run_cli(["--format", "json", "measure", cfg], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["values"]["theta_star"] == 0.0
+    assert doc["values"]["fhat"] == pytest.approx(0.5, rel=1e-6)
+    assert sum("isotropic" in note for note in doc["notes"]) == 1
 
 
 # ---------------------------------------------------------------------------

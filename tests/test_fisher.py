@@ -142,7 +142,7 @@ def test_binary_trial_rejects_endpoints():
 
 def test_quadrature_scan_vacuum_flat():
     _a, x, p = quantum.fock_operators(20, nu=0.5)
-    theta, result = fisher.qfi_max_quadrature(quantum.vacuum_state(20), x, p, 16)
+    theta, result = fisher.qfi_max_quadrature(quantum.vacuum_state(20), x, p)
     assert result.value == pytest.approx(2.0, rel=1e-9)
 
 
@@ -168,20 +168,75 @@ def test_quadrature_scan_cat_position_axis():
 
 
 def test_quadrature_scan_maximum_dominates_scan():
+    # Oracle: the closed-form maximum is never below a 256-angle scan of
+    # fisher.qfi, and fisher.qfi along the returned angle reproduces it.
     rng = np.random.default_rng(7)
-    dim = 12
+    thetas = np.linspace(0, math.pi, 256, endpoint=False)
+    for dim in (2, 3, 7, 12, 20, 30):
+        _a, x, p = quantum.fock_operators(dim, nu=0.5)
+        states = {
+            "full-rank": random_density(rng, dim),
+            "rank-deficient": random_density(rng, dim, max(1, dim // 3)),
+            "pure": random_pure(rng, dim),
+        }
+        for kind, rho in states.items():
+            theta, result = fisher.qfi_max_quadrature(rho, x, p)
+            value = result.value
+            assert 0.0 <= theta < math.pi, kind
+            for t in thetas:
+                op = math.cos(t) * x + math.sin(t) * p
+                assert value >= fisher.qfi(rho, op).value - 1e-12, (kind, dim, t)
+            along = fisher.qfi(rho, math.cos(theta) * x + math.sin(theta) * p)
+            assert along.value == pytest.approx(value, rel=1e-10), (kind, dim)
+            assert along.method == result.method
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        quantum.thermal_state(1.5, 60),
+        quantum.coherent_state(3.0, 60),
+        quantum.number_state(5, 30),
+        quantum.vacuum_state(20),
+    ],
+    ids=["thermal", "coherent", "number", "vacuum"],
+)
+def test_quadrature_isotropic_states_give_zero_angle(rho):
+    dim = rho.shape[0]
     _a, x, p = quantum.fock_operators(dim, nu=0.5)
-    rho = random_density(rng, dim)
-    theta, result = fisher.qfi_max_quadrature(rho, x, p, 16)
-    for t in np.linspace(0, math.pi, 16, endpoint=False):
-        op = math.cos(t) * x + math.sin(t) * p
-        assert result.value >= fisher.qfi(rho, op).value - 1e-12
+    theta, result = fisher.qfi_max_quadrature(rho, x, p)
+    assert theta == 0.0
+    assert result.diagnostics["isotropic"] is True
+    assert result.diagnostics["eigengap"] <= fisher.ISOTROPY_FACTOR * result.value
 
 
-def test_quadrature_scan_needs_enough_angles():
+@pytest.mark.parametrize("r", [0.3, 0.9])
+def test_quadrature_squeezed_eigengap(r):
+    dim = 120
+    _a, x, p = quantum.fock_operators(dim, nu=0.5)
+    theta, result = fisher.qfi_max_quadrature(quantum.squeezed_state(r, dim), x, p)
+    assert theta == pytest.approx(math.pi / 2, abs=1e-12)
+    assert result.diagnostics["isotropic"] is False
+    # F_pp = 2 e^{2r} along the anti-squeezed axis, F_xx = 2 e^{-2r}.
+    gap = 2.0 * math.exp(2 * r) - 2.0 * math.exp(-2 * r)
+    assert result.diagnostics["eigengap"] == pytest.approx(gap, rel=1e-8)
+
+
+def test_quadrature_dimension_mismatch():
     _a, x, p = quantum.fock_operators(8, nu=0.5)
-    with pytest.raises(DomainError):
-        fisher.qfi_max_quadrature(quantum.vacuum_state(8), x, p, 4)
+    with pytest.raises(DomainError, match="mismatch"):
+        fisher.qfi_max_quadrature(quantum.vacuum_state(6), x, p)
+
+
+def test_quadrature_spectral_diagnostics():
+    _a, x, p = quantum.fock_operators(40, nu=0.5)
+    rho = quantum.thermal_state(1.0, 40)
+    _theta, result = fisher.qfi_max_quadrature(rho, x, p)
+    along = fisher.qfi(rho, x)
+    assert result.method == "spectral"
+    for key in ("discarded_pairs", "discarded_overlap_mass", "pair_threshold"):
+        assert result.diagnostics[key] == pytest.approx(along.diagnostics[key], rel=1e-12)
+    assert "scanned" not in result.diagnostics
 
 
 # ---------------------------------------------------------------------------

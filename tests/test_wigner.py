@@ -268,6 +268,8 @@ def _oracle_synth_and_overlap(rho, values, xs, ps):
         (61, (3.1, 11.1, 33), (-9.4, -1.4, 33)),
         # +-22 reaches r^2 = 968, where exp(-r^2) underflows
         (200, (-22.0, 22.0, 17), (-22.0, 22.0, 17)),
+        # +-30 reaches r = 42, where the Laguerre factor overflows as well
+        (200, (-30.0, 30.0, 21), (-30.0, 30.0, 21)),
     ],
 )
 def test_streamed_kernels_match_fock_kernel(rng, dim, x_axis, p_axis):
@@ -280,6 +282,22 @@ def test_streamed_kernels_match_fock_kernel(rng, dim, x_axis, p_axis):
     grid = WignerGrid(*x_axis, *p_axis, values)
     overlaps = wigner._overlap_reconstruct(grid, dim)
     assert np.max(np.abs(overlaps - overlaps_oracle)) < 1e-10
+
+
+def test_wide_grid_kernels_stay_finite():
+    # dim 200 on +-30: exp(-r^2) underflows past r = 27, and the Laguerre
+    # factor alone overflows past r = 36; the kernels there are exactly 0.
+    axis = (-30.0, 30.0, 61)
+    xs = np.linspace(*axis)
+    xg, pg = np.meshgrid(xs, xs, indexing="xy")
+    values = wigner.synth_values(quantum.vacuum_state(200), xs, xs)
+    assert np.all(np.isfinite(values))
+    expected = np.exp(-(xg**2 + pg**2)) / math.pi
+    np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0)
+    # 61 points cannot resolve the dim-200 kernels: an honest residual
+    # verdict, not a nan in the reconstructed matrix.
+    with pytest.raises(ReconstructionError):
+        reconstruct(WignerGrid(*axis, *axis, values), 200)
 
 
 @given(
