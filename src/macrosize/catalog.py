@@ -547,7 +547,3 @@ def dataset_csv(points: Sequence[DatasetPoint]) -> str:
             f"{label},{p.n_ext:.5e},{p.n_ent:.5e},{p.kind},{dev_ext},{dev_ent}\n"
         )
     return out.getvalue()
-
-
-def figure3_dataset_csv() -> str:
-    return dataset_csv(figure_dataset())

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MacrosizeError
-from .fisher import binary_trial_fi, classical_fi_grid
 from .measures import PhysicalConstants, SizeReport, constants, extensive_size
 
 
@@ -53,12 +52,6 @@ class TalbotLauSetup:
     @property
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.grating_period
-
-    @classmethod
-    def from_speed(cls, *, flight_distance: float, speed: float, **kwargs):
-        if speed <= 0 or flight_distance <= 0:
-            raise DomainError("flight distance and speed must be positive")
-        return cls(flight_time=flight_distance / speed, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -195,16 +188,6 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     return FringeFit(visibility, k, phase, rms)
 
 
-def binary_fi_profile(
-    open_fraction: float, visibility: float, wavenumber: float, s: np.ndarray
-) -> np.ndarray:
-    """Exact s-dependent binary-trial FI of R(s) = <g>(1 + v sin ks)."""
-    s = np.asarray(s, dtype=float)
-    r = open_fraction * (1.0 + visibility * np.sin(wavenumber * s))
-    rp = open_fraction * visibility * wavenumber * np.cos(wavenumber * s)
-    return np.array([binary_trial_fi(ri, rpi) for ri, rpi in zip(r, rp)])
-
-
 def fi_bound(open_fraction: float, visibility: float, wavenumber: float) -> float:
     """Classical-FI lower bound <g> v^2 k^2 / (1 - <g>) at lattice points ks = n pi."""
     if not 0.0 < open_fraction < 1.0:
@@ -230,13 +213,6 @@ def qfi_bound(
     if fi_classical < 0:
         raise DomainError(f"classical FI must be >= 0, got {fi_classical}")
     return (consts.hbar * flight_time) ** 2 * fi_classical
-
-
-def qfi_bound_from_density(
-    p: np.ndarray, h: float, flight_time: float, consts: PhysicalConstants | None = None
-) -> float:
-    """Generic detection-statistics route: grid FI of p(x), then (hbar t)^2."""
-    return qfi_bound(classical_fi_grid(p, h).value, flight_time, consts)
 
 
 def coherence_length(qfi_value: float, mass: float) -> float:

@@ -67,7 +67,11 @@ def _check_pair(rho: np.ndarray, operator: np.ndarray):
 
 def variance(rho: np.ndarray, operator: np.ndarray) -> float:
     """Var(rho, A) = tr(rho A^2) - tr(rho A)^2."""
-    rho, operator = _check_pair(rho, operator)
+    return _variance(*_check_pair(rho, operator))
+
+
+def _variance(rho: np.ndarray, operator: np.ndarray) -> float:
+    """``variance`` of an already checked state and observable."""
     mean = quantum.expectation(rho, operator)
     second = quantum.expectation(rho, operator @ operator)
     return second - mean * mean

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import fisher
+from . import fisher, quantum
 from .errors import DomainError
 
 
@@ -53,13 +53,6 @@ def constants() -> PhysicalConstants:
     return _CODATA
 
 
-def rotated_unit(t: float, consts: PhysicalConstants = _CODATA) -> float:
-    """Atomic-scale unit for R(t) = Q + t P: sqrt(Q0^2 + t^2 P0^2)."""
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    return math.hypot(consts.Q0, t * consts.P0)
-
-
 def extensive_size(qfi_value: float, unit: float) -> float:
     """N_ext = F / (4 A0^2) for a QFI carrying units of A^2."""
     if unit <= 0:
@@ -71,51 +64,27 @@ def extensive_size(qfi_value: float, unit: float) -> float:
 
 @dataclass(frozen=True)
 class PartitionedObservable:
-    """An extensive observable together with its local addends.
+    """An extensive observable ``total`` together with its local addends.
 
-    ``total`` must equal the sum of ``locals_`` (checked to 1e-10 relative
-    on construction).  ``from_variances`` supports the closed-form mode
-    where only the local variances are known.
+    Build it with ``from_locals``, the one check of a partition: every local
+    is a square Hermitian matrix, all locals share one shape, and ``total``
+    is their sum.  Functions that take a partition rely on these invariants
+    and do not check them again.
     """
 
-    total: np.ndarray | None
+    total: np.ndarray
     locals_: tuple
     partition_label: str = ""
-    local_variances: tuple | None = None
 
     @classmethod
     def from_locals(cls, locals_: Sequence[np.ndarray], label: str = ""):
-        locals_ = tuple(np.asarray(a, dtype=complex) for a in locals_)
+        locals_ = tuple(quantum.require_hermitian(a, "local observable") for a in locals_)
         if not locals_:
             raise DomainError("partition needs at least one local observable")
-        total = np.sum(locals_, axis=0)
-        obs = cls(total=total, locals_=locals_, partition_label=label)
-        obs.check()
-        return obs
-
-    @classmethod
-    def from_variances(cls, local_variances: Sequence[float], label: str = ""):
-        values = tuple(float(v) for v in local_variances)
-        if not values:
-            raise DomainError("partition needs at least one local variance")
-        if any(v < 0 for v in values):
-            raise DomainError("local variances must be >= 0")
-        return cls(total=None, locals_=(), partition_label=label, local_variances=values)
-
-    def check(self) -> None:
-        if self.total is None:
-            return
-        resum = np.sum(self.locals_, axis=0)
-        scale = max(1.0, float(np.max(np.abs(self.total))))
-        err = float(np.max(np.abs(resum - self.total)))
-        if err > 1e-10 * scale:
-            raise DomainError(
-                f"local addends do not sum to the total: max deviation {err:.3e}"
-            )
-
-    @property
-    def size(self) -> int:
-        return len(self.locals_) if self.locals_ else len(self.local_variances or ())
+        shapes = sorted({a.shape for a in locals_})
+        if len(shapes) > 1:
+            raise DomainError(f"local observables differ in shape: {shapes}")
+        return cls(total=np.sum(locals_, axis=0), locals_=locals_, partition_label=label)
 
 
 def witness_depth(n_ent: float) -> int:
@@ -146,17 +115,20 @@ class SizeReport:
         return witness_depth(self.n_ent)
 
 
+def _qfi_and_variances(rho: np.ndarray, observable: PartitionedObservable):
+    """QFI of the total and the local variances, from one density check.
+
+    ``fisher.qfi`` validates ``rho`` and its dimension against the total; the
+    locals share that shape, so their variances need no second check.
+    """
+    total_qfi = fisher.qfi(rho, observable.total).value
+    rho = np.asarray(rho, dtype=complex)
+    return total_qfi, [fisher._variance(rho, a) for a in observable.locals_]
+
+
 def entangled_size(rho: np.ndarray, observable: PartitionedObservable) -> float:
     """N_ent = F(rho, A) / (4 sum_i Var(rho, A_i)) for a partitioned observable."""
-    if observable.local_variances is not None:
-        raise DomainError(
-            "closed-form observables carry no matrices; "
-            "use entangled_size_from_values"
-        )
-    observable.check()
-    total_qfi = fisher.qfi(rho, observable.total).value
-    local_vars = [fisher.variance(rho, a) for a in observable.locals_]
-    return entangled_size_from_values(total_qfi, local_vars)
+    return entangled_size_from_values(*_qfi_and_variances(rho, observable))
 
 
 def entangled_size_from_values(
@@ -200,9 +172,9 @@ def size_report_for_state(
     unit_label: str = "custom",
 ) -> SizeReport:
     """Compute both measures for an explicit state and partitioned observable."""
-    total_qfi = fisher.qfi(rho, observable.total).value
+    total_qfi, local_vars = _qfi_and_variances(rho, observable)
     n_ext = extensive_size(total_qfi, unit)
-    n_ent = entangled_size(rho, observable)
+    n_ent = entangled_size_from_values(total_qfi, local_vars)
     return SizeReport(
         n_ext=n_ext,
         n_ent=n_ent,
@@ -214,7 +186,6 @@ def size_report_for_state(
 __all__ = [
     "PhysicalConstants",
     "constants",
-    "rotated_unit",
     "extensive_size",
     "PartitionedObservable",
     "witness_depth",

@@ -240,23 +240,6 @@ def mode_volume(
     )
 
 
-def thermal_mode_qfi(
-    mode: OscillatorMode, nbar: float, consts: PhysicalConstants | None = None
-):
-    """QFI of a thermal mode for mass-weighted position and momentum.
-
-    F_Q = 4 (M_k dX_zp)^2 / (2 nbar + 1)  [kg^2 m^2],
-    F_P = 4 (hbar / 2 dX_zp)^2 / (2 nbar + 1)  [kg^2 m^2 / s^2].
-    """
-    consts = consts or constants()
-    if nbar < 0:
-        raise DomainError(f"mean occupation must be >= 0, got {nbar}")
-    denom = 2.0 * nbar + 1.0
-    f_q = 4.0 * (mode.mode_mass * mode.zero_point) ** 2 / denom
-    f_p = 4.0 * (consts.hbar / (2.0 * mode.zero_point)) ** 2 / denom
-    return f_q, f_p
-
-
 def thermal_sizes(
     mode: OscillatorMode,
     nbar: float,
@@ -519,18 +502,6 @@ class HarmonicChain:
         variances = self.mode_quadrature_variances(addressed, addressed_variance)
         weights = (self.mode_mass / self.mode_volume_1d) ** 2 * variances
         return float(np.sum(zeta**2 @ weights))
-
-    def region_covariance(
-        self,
-        addressed: int,
-        n_regions: int,
-        addressed_variance: float | None = None,
-    ) -> np.ndarray:
-        """Covariance matrix of the region observables A_i."""
-        zeta = self.zeta(addressed, n_regions)
-        variances = self.mode_quadrature_variances(addressed, addressed_variance)
-        weights = (self.mode_mass / self.mode_volume_1d) ** 2 * variances
-        return (zeta * weights) @ zeta.T
 
     def single_atom_variance(self, addressed: int, addressed_variance=None) -> float:
         """Bulk-average single-atom position variance sum_l <w_l^2> Var(X_l)."""

@@ -298,28 +298,6 @@ def make_state(kind: str, dim: int, **params) -> np.ndarray:
     return builder(dim, **params)
 
 
-def state_tail_weight(kind: str, dim: int, **params) -> float:
-    """Analytic weight left outside a dim-truncated basis for a state family."""
-    if kind == "thermal":
-        nbar = params.get("nbar", 0.0)
-        if nbar == 0:
-            return 0.0
-        p = nbar / (1.0 + nbar)
-        return p**dim
-    if kind == "coherent":
-        amps = coherent_amplitudes(params.get("alpha", 1.0), dim)
-        return max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    if kind == "cat":
-        alpha = params.get("alpha", 1.0)
-        amps = coherent_amplitudes(alpha, dim) + coherent_amplitudes(-alpha, dim)
-        exact = 2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))
-        return max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)) / exact)
-    if kind == "squeezed":
-        amps = squeezed_amplitudes(params.get("r", 0.0), dim)
-        return max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    return 0.0
-
-
 # ---------------------------------------------------------------------------
 # Multi-qubit states and composition
 # ---------------------------------------------------------------------------
@@ -339,9 +317,10 @@ def ghz_state(n: int, q: float, phase: float = 0.0):
     if n < 1:
         raise DomainError(f"subsystem count must be >= 1, got {n}")
     if n > 12:
-        bytes_needed = 16 * (2 ** (2 * n))
+        # rho, the n local sigma_z and their sum, 16 B per complex entry.
+        bytes_needed = (n + 2) * 16 * 4**n
         raise DomainError(
-            f"n={n} qubits needs a dense {2**n}x{2**n} matrix "
+            f"n={n} qubits needs {n + 2} dense {2**n}x{2**n} matrices "
             f"(~{bytes_needed / 1e9:.1f} GB); capped at n=12"
         )
     if not 0.0 <= q <= 1.0:
@@ -349,7 +328,9 @@ def ghz_state(n: int, q: float, phase: float = 0.0):
     dim = 2**n
     psi = np.zeros(dim, dtype=complex)
     psi[0] = math.sqrt(1.0 - q)
-    psi[-1] = math.sqrt(q) * np.exp(1j * phase)
+    # At q = 1 the phase is global, and |e^{i phase}|^2 may round below 1,
+    # which would leave rounding-level local variances instead of zeros.
+    psi[-1] = math.sqrt(q) * np.exp(1j * phase) if q < 1.0 else 1.0
     rho = np.outer(psi, psi.conj())
     locals_ = [qubit_site_operator(SIGMA_Z, i, n) for i in range(n)]
     observable = PartitionedObservable.from_locals(locals_, label="qubits")

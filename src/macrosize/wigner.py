@@ -368,7 +368,7 @@ def reconstruct(
     scale = float(np.linalg.norm(grid.values))
     residual = float(np.linalg.norm(resynth - grid.values)) / max(scale, 1e-300)
     report = ReconstructionReport(rho, dim, clipped_mass, residual, tail)
-    if residual > residual_limit:
+    if not residual <= residual_limit:  # a NaN residual fails too
         raise ReconstructionError(
             f"unfaithful reconstruction: residual {residual:.4f} > {residual_limit}",
             residual,

@@ -15,7 +15,6 @@ from macrosize.diffraction import (
     fit_fringe,
     load_fringe_scan,
     qfi_bound,
-    qfi_bound_from_density,
 )
 from macrosize.errors import DomainError
 from macrosize.measures import constants
@@ -125,7 +124,10 @@ def test_fi_bound_values():
 def test_fi_bound_is_profile_at_lattice_points():
     k = 2 * math.pi / 266e-9
     s_lattice = np.array([0.0, math.pi / k, 2 * math.pi / k])
-    profile = diffraction.binary_fi_profile(0.43, 0.25, k, s_lattice)
+    # Binary-trial FI of R(s) = <g>(1 + v sin ks) at the lattice points.
+    r = 0.43 * (1.0 + 0.25 * np.sin(k * s_lattice))
+    rp = 0.43 * 0.25 * k * np.cos(k * s_lattice)
+    profile = [fisher.binary_trial_fi(ri, rpi) for ri, rpi in zip(r, rp)]
     assert np.allclose(profile, fi_bound(0.43, 0.25, k), rtol=1e-9)
 
 
@@ -148,7 +150,7 @@ def test_qfi_bound_gaussian_density():
     x = np.arange(-8 * sigma, 8 * sigma + h / 2, h)
     p = np.exp(-0.5 * (x / sigma) ** 2)
     p /= np.sum(p) * h
-    value = qfi_bound_from_density(p, h, t)
+    value = qfi_bound(fisher.classical_fi_grid(p, h).value, t)
     assert value == pytest.approx((C.hbar * t / sigma) ** 2, rel=1e-3)
 
 
@@ -217,21 +219,6 @@ def test_doubling_time_quadruples_bound():
     assert report.inputs["qfi_bound"] == pytest.approx(
         4 * base.inputs["qfi_bound"], rel=1e-12
     )
-
-
-def test_from_speed_constructor():
-    setup = TalbotLauSetup.from_speed(
-        flight_distance=1.0,
-        speed=260.0,
-        mass=26777.0 * C.m_u,
-        n_atoms=2000.0,
-        grating_period=266e-9,
-        open_fraction=0.43,
-        visibility=0.25,
-        source_g1=0.2,
-        g1_g2=1.0,
-    )
-    assert setup.flight_time == pytest.approx(1.0 / 260.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

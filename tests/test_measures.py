@@ -20,14 +20,6 @@ def test_constant_values():
     assert C.Q0 * C.P0 / C.m_u == pytest.approx(C.hbar / 2, rel=1e-12)
 
 
-def test_rotated_unit_limits():
-    assert measures.rotated_unit(0.0) == C.Q0
-    t = C.Q0 / C.P0
-    assert measures.rotated_unit(t) == pytest.approx(math.sqrt(2) * C.Q0, rel=1e-12)
-    big = 1e6
-    assert measures.rotated_unit(big) == pytest.approx(big * C.P0, rel=1e-10)
-
-
 def test_extensive_size_two_branch():
     # Equal two-branch superposition: N_ext = (dQ / 2 Q0)^2.
     mass, dx = 1e-20, 1e-6
@@ -99,6 +91,82 @@ def test_entangled_size_incoherent_local_diagnostic():
     _g, obs = quantum.ghz_state(2, 0.5)
     with pytest.raises(DomainError, match="incoherent-local"):
         measures.entangled_size(rho, obs)
+
+
+def test_from_locals_rejects_mismatched_shapes():
+    with pytest.raises(DomainError, match="differ in shape"):
+        measures.PartitionedObservable.from_locals(
+            [np.eye(2, dtype=complex), np.eye(4, dtype=complex)]
+        )
+
+
+def test_from_locals_rejects_non_hermitian_local():
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(DomainError, match="local observable is not Hermitian"):
+        measures.PartitionedObservable.from_locals([quantum.SIGMA_Z, raising])
+
+
+def _assert_report_is_the_composition(rho, obs):
+    """The report equals fisher.qfi of the total and fisher.variance of each local."""
+    report = measures.size_report_for_state(rho, obs)
+    total_qfi = fisher.qfi(rho, obs.total).value
+    local_vars = [fisher.variance(rho, a) for a in obs.locals_]
+    assert report.inputs["qfi"] == total_qfi
+    assert report.n_ext == measures.extensive_size(total_qfi, 1.0)
+    assert report.n_ent == measures.entangled_size_from_values(total_qfi, local_vars)
+    assert measures.entangled_size(rho, obs) == report.n_ent
+
+
+def test_size_report_is_qfi_and_variance_composition(rng):
+    for n in range(2, 10):
+        _assert_report_is_the_composition(*quantum.ghz_state(n, 0.3, phase=0.4))
+    obs = _random_qubit_partition(rng, 3)
+    for _ in range(20):
+        _assert_report_is_the_composition(random_density(rng, 8), obs)
+
+
+def test_size_report_checks_the_state_once(monkeypatch):
+    rho, obs = quantum.ghz_state(6, 0.3, phase=0.4)
+    validated, qfi_operators, summed = [], [], []
+    validate_density, qfi, np_sum = quantum.validate_density, fisher.qfi, np.sum
+
+    def counting_validate(state, *args, **kwargs):
+        validated.append(state)
+        return validate_density(state, *args, **kwargs)
+
+    def recording_qfi(state, operator):
+        qfi_operators.append(operator)
+        return qfi(state, operator)
+
+    def recording_sum(a, *args, **kwargs):
+        summed.append(a)
+        return np_sum(a, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "validate_density", counting_validate)
+    monkeypatch.setattr(fisher, "qfi", recording_qfi)
+    monkeypatch.setattr(np, "sum", recording_sum)
+    measures.size_report_for_state(rho, obs)
+    assert len(validated) == 1
+    assert len(qfi_operators) == 1 and qfi_operators[0] is obs.total
+    assert not any(a is obs.locals_ for a in summed)
+
+
+# Near q = 0 or 1, tr(rho A^2) - tr(rho A)^2 cancels and loses relative
+# accuracy as eps / q: N_ent drifts by up to 6e-9 within 1e-6 of an end.
+# q is drawn where that drift stays below 1e-10.
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    q=st.floats(min_value=1e-5, max_value=1.0 - 1e-5),
+    phase=st.floats(min_value=-100.0, max_value=100.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_ghz_saturates_the_partition(n, q, phase):
+    report = measures.size_report_for_state(*quantum.ghz_state(n, q, phase))
+    assert report.n_ent == pytest.approx(n, abs=1e-9)
+    assert report.n_ext == pytest.approx(4.0 * n * n * q * (1.0 - q), rel=1e-9)
+    for end in (0.0, 1.0):
+        with pytest.raises(DomainError, match="incoherent-local"):
+            measures.size_report_for_state(*quantum.ghz_state(n, end, phase))
 
 
 def test_witness_depth_values():

@@ -87,9 +87,15 @@ def test_teufel_geometry_reproduces_mode_parameters():
     assert mode.zero_point == pytest.approx(7.8e-15, rel=0.02)
 
 
+def _thermal_qfi(mode, nbar):
+    """(F_Q, F_P) of a thermal mode, read back from thermal_sizes: F = 4 A0^2 N_ext."""
+    report = oscillator.thermal_sizes(mode, nbar)
+    return 4.0 * C.Q0**2 * report.n_ext, 4.0 * C.P0**2 * report.n_ext_momentum
+
+
 def test_thermal_qfi_ground_state():
     mode = OscillatorMode(mode_mass=1e-14, zero_point=1e-14)
-    f_q, f_p = oscillator.thermal_mode_qfi(mode, 0.0)
+    f_q, f_p = _thermal_qfi(mode, 0.0)
     assert f_q == pytest.approx(4.0 * (1e-14 * 1e-14) ** 2, rel=1e-12)
     assert f_p == pytest.approx(4.0 * (C.hbar / 2e-14) ** 2, rel=1e-12)
 
@@ -98,7 +104,7 @@ def test_thermal_qfi_ground_state():
 def test_thermal_qfi_matches_spectral_oracle(nbar, dim):
     # Spectral check in oscillator units: Q = M x with Var(x)_vac = dX_zp^2.
     mode = OscillatorMode(mode_mass=1.0, zero_point=1.0, omega=C.hbar / 2.0)
-    f_q, _f_p = oscillator.thermal_mode_qfi(mode, nbar)
+    f_q, _f_p = _thermal_qfi(mode, nbar)
     rho = quantum.thermal_state(nbar, dim) if nbar > 0 else quantum.vacuum_state(dim)
     _a, x, _p = quantum.fock_operators(dim, nu=1.0)  # nu = dX_zp^2 = 1
     spectral = fisher.qfi(rho, x).value  # Q = M x with M = 1
@@ -107,15 +113,14 @@ def test_thermal_qfi_matches_spectral_oracle(nbar, dim):
 
 def test_thermal_qfi_momentum_matches_spectral_oracle():
     nbar, dim = 1.0, 60
-    hbar = 1.0
-    mode = OscillatorMode(mode_mass=1.0, zero_point=1.0, omega=hbar / 2.0)
-    consts_like = constants()
+    mode = OscillatorMode(mode_mass=1.0, zero_point=1.0)
+    _f_q, f_p = _thermal_qfi(mode, nbar)
     rho = quantum.thermal_state(nbar, dim)
-    _a, _x, p = quantum.fock_operators(dim, nu=1.0, hbar=hbar)
+    # p = (hbar / 2 dX_zp) i (a+ - a) with dX_zp^2 = nu = 1.
+    _a, _x, p = quantum.fock_operators(dim, nu=1.0, hbar=C.hbar)
     spectral = fisher.qfi(rho, p).value
-    expected = 4.0 * (hbar / 2.0) ** 2 / (2 * nbar + 1)
-    assert spectral == pytest.approx(expected, rel=1e-6)
-    del consts_like
+    assert f_p == pytest.approx(spectral, rel=1e-6)
+    assert spectral == pytest.approx(4.0 * (C.hbar / 2.0) ** 2 / (2 * nbar + 1), rel=1e-6)
 
 
 def test_thermal_sizes_teufel_row():
@@ -255,12 +260,21 @@ def test_chain_exact_never_exceeds_region_count():
         assert exact <= n_regions + 1e-9
 
 
+def _region_covariance(chain, addressed, n_regions):
+    """Covariance matrix of the region observables A_i (modes uncorrelated)."""
+    zeta = chain.zeta(addressed, n_regions)
+    variances = chain.mode_quadrature_variances(addressed)
+    weights = (chain.mode_mass / chain.mode_volume_1d) ** 2 * variances
+    return (zeta * weights) @ zeta.T
+
+
 def test_chain_fine_graining_monotone_when_covariances_positive():
     chain = HarmonicChain(64, _omega, 0.8)
     sums = []
     for n_regions in (8, 16, 32, 64):
-        cov = chain.region_covariance(2, n_regions)
+        cov = _region_covariance(chain, 2, n_regions)
         sums.append(chain.variance_sum(2, n_regions))
+        assert np.trace(cov) == pytest.approx(sums[-1], rel=1e-12)
         if n_regions > 8:
             # children of one parent are adjacent pairs in the refinement
             parents = n_regions // 2

@@ -132,13 +132,21 @@ def test_truncation_error_with_suggested_dim():
 
 
 def test_tail_weight_monotone_in_dim():
+    # Each constructor reports its tail in the TruncationError; the tail
+    # falls as dim grows, and the dim its tail table suggests is enough.
     for kind, params in [
-        ("thermal", {"nbar": 1.0}),
-        ("cat", {"alpha": 2.0}),
-        ("coherent", {"alpha": 2.0}),
+        ("thermal", {"nbar": 20.0}),
+        ("cat", {"alpha": 6.0}),
+        ("coherent", {"alpha": 6.0}),
+        ("squeezed", {"r": 2.0}),
     ]:
-        tails = [quantum.state_tail_weight(kind, d, **params) for d in (20, 30, 45, 60)]
+        tails = []
+        for d in (20, 30, 45, 60):
+            with pytest.raises(TruncationError) as excinfo:
+                quantum.make_state(kind, d, **params)
+            tails.append(excinfo.value.tail_weight)
         assert all(t1 >= t2 - 1e-17 for t1, t2 in zip(tails, tails[1:]))
+        quantum.make_state(kind, excinfo.value.suggested_dim, **params)
 
 
 def test_ghz_qfi_value():
@@ -161,7 +169,8 @@ def test_ghz_variance_two_point():
 
 
 def test_ghz_rejects_large_register():
-    with pytest.raises(DomainError, match="GB"):
+    # rho, 13 local sigma_z and their sum: 15 * 16 * 4**13 B = 16.1 GB.
+    with pytest.raises(DomainError, match=r"needs 15 dense 8192x8192 matrices \(~16\.1 GB\)"):
         quantum.ghz_state(13, 0.5)
 
 

@@ -165,6 +165,15 @@ def test_reconstruct_rejects_garbage():
         reconstruct(grid, 20)
 
 
+def test_reconstruct_rejects_nan_residual(monkeypatch):
+    grid = synth_grid(quantum.vacuum_state(12), AXES, AXES)
+    monkeypatch.setattr(
+        wigner, "synth_values", lambda rho, xs, ps: np.full_like(grid.values, np.nan)
+    )
+    with pytest.raises(ReconstructionError, match="residual nan"):
+        reconstruct(grid, 12)
+
+
 def test_qfi_from_grid_vacuum():
     grid = synth_grid(quantum.vacuum_state(12), AXES, AXES)
     _theta, fhat, _report = qfi_from_grid(grid, 12)
