@@ -6,6 +6,7 @@ grating bounds the classical FI of the detected positions, which bounds
 the position QFI at the diffraction grating via F >= (hbar t)^2 F_cl.
 """
 
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,29 +45,9 @@ print()
 print("The source-to-G1 distance L0 is only known to lie in [0.2 m, 1 m];")
 print("shorter L0 magnifies the CM spread and weakens the witness:")
 for l0 in (0.2, 0.5, 1.0):
-    variant = diffraction_sizes(
-        type(setup)(
-            mass=setup.mass,
-            n_atoms=setup.n_atoms,
-            grating_period=setup.grating_period,
-            open_fraction=setup.open_fraction,
-            visibility=0.25,
-            flight_time=setup.flight_time,
-            source_g1=l0,
-            g1_g2=setup.g1_g2,
-        )
-    )
+    variant = diffraction_sizes(replace(setup, source_g1=l0))
     print(f"  L0 = {l0:3.1f} m:  N_ent >= {variant.n_ent:6.1f}")
-slow = type(setup)(
-    mass=setup.mass,
-    n_atoms=setup.n_atoms,
-    grating_period=setup.grating_period,
-    open_fraction=setup.open_fraction,
-    visibility=0.25,
-    flight_time=2.0 * setup.flight_time,
-    source_g1=setup.source_g1,
-    g1_g2=setup.g1_g2,
-)
+slow = replace(setup, flight_time=2.0 * setup.flight_time)
 ratio = diffraction_sizes(slow).inputs["qfi_bound"] / report.inputs["qfi_bound"]
 print()
 print(f"time-of-flight scaling: doubling t multiplies the bound by {ratio:.0f}")

@@ -9,10 +9,9 @@ only for deviation reporting.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import oscillator
 from .diffraction import TalbotLauSetup, diffraction_sizes
 from .errors import DomainError
 from .fisher import sub_qfi_f2
-from .measures import PhysicalConstants, constants, two_branch_entangled_size
+from .measures import constants, two_branch_entangled_size
 from .oscillator import OscillatorMode
 
 # ---------------------------------------------------------------------------
@@ -56,11 +55,9 @@ def leggett_scenario() -> CrystalScenario:
     )
 
 
-def leggett_crystal(
-    scenario: CrystalScenario, consts: PhysicalConstants | None = None
-) -> dict:
+def leggett_crystal(scenario: CrystalScenario) -> dict:
     """Momentum sizes at t = 0 and position sizes after the drift time."""
-    c = consts or constants()
+    c = constants()
     total_mass = scenario.n_atoms * scenario.atom_mass
     delta_p_total = total_mass * scenario.relative_speed
     delta_p_atom = delta_p_total / scenario.n_atoms
@@ -83,7 +80,6 @@ def leggett_crystal(
 def nucleon_partition_comparison(
     scenario: CrystalScenario,
     nucleon_confinement: float = 1e-15,
-    consts: PhysicalConstants | None = None,
 ) -> dict:
     """Compare atom and nucleon partitions for the crystal superposition.
 
@@ -94,18 +90,10 @@ def nucleon_partition_comparison(
     fine-graining an atom of mass m into m / m_u nucleons scales the
     variance denominator down and the entangled size up by m / m_u.
     """
-    c = consts or constants()
-    atoms = leggett_crystal(scenario, c)
-    nucleon_scenario = CrystalScenario(
-        n_atoms=scenario.n_atoms,
-        atom_mass=scenario.atom_mass,
-        relative_speed=scenario.relative_speed,
-        confinement=nucleon_confinement,
-        drift_time=scenario.drift_time,
-    )
-    nucleons = leggett_crystal(nucleon_scenario, c)
+    atoms = leggett_crystal(scenario)
+    nucleons = leggett_crystal(replace(scenario, confinement=nucleon_confinement))
     momentum_suppression = atoms["n_ent_momentum"] / nucleons["n_ent_momentum"]
-    position_enhancement = scenario.atom_mass / c.m_u
+    position_enhancement = scenario.atom_mass / constants().m_u
     return {
         "atoms": atoms,
         "nucleons": nucleons,
@@ -165,14 +153,14 @@ def _thermal_row(label, kind, mode_mass, zero_point, nbar, n_k, delta_u, expecte
     )
 
 
-def table1(consts: PhysicalConstants | None = None) -> list[SurveyRow]:
+def table1() -> list[SurveyRow]:
     """Recompute the oscillator survey from embedded parameters.
 
     Eight rows reproduce the published estimates within 10% from the
     listed parameters alone; the trapped-ion and coupled-drum rows carry
     order-of-magnitude tolerances with the discrepancy mechanism noted.
     """
-    c = consts or constants()
+    c = constants()
     rows: list[SurveyRow] = []
 
     # Trapped ion: ideal even cat alpha = 5.9 as the QFI oracle; the
@@ -181,7 +169,7 @@ def table1(consts: PhysicalConstants | None = None) -> list[SurveyRow]:
     alpha = 5.9
     ion_mass = 6.6e-26
     ion_omega = 2.0 * math.pi * 2.1e6
-    ion_mode = OscillatorMode.from_mass_and_omega(ion_mass, ion_omega, 1.0, consts=c)
+    ion_mode = OscillatorMode.from_mass_and_omega(ion_mass, ion_omega, 1.0)
     fhat_cat = 2.0 * (4.0 * alpha**2 + 1.0)  # vacuum => 2 convention
     ion_report = oscillator.measured_qfi_sizes(ion_mode, fhat_cat, vacuum_reference=2.0)
     rows.append(
@@ -336,7 +324,6 @@ def flux_qubit(
     circuit_length: float = 560e-6,
     pair_momentum_shift: float = 6.0e-29,
     n_pairs: float = 1.0e9,
-    consts: PhysicalConstants | None = None,
 ) -> dict:
     """Momentum extensive size of a persistent-current superposition.
 
@@ -345,7 +332,7 @@ def flux_qubit(
     momentum shift far above the pair momentum spread, the Cooper-pair
     partition sits in the full-cat regime, N_ent ~ N_pairs.
     """
-    c = consts or constants()
+    c = constants()
     if delta_current < 0 or circuit_length <= 0:
         raise DomainError("need delta_current >= 0 and circuit_length > 0")
     n_ext = (c.m_e * circuit_length * delta_current / (2.0 * c.e * c.P0)) ** 2
@@ -386,14 +373,14 @@ class NHParams:
         return constants().hbar / self.critical_length
 
 
-def nh_mu(params: NHParams, consts: PhysicalConstants | None = None) -> dict:
+def nh_mu(params: NHParams) -> dict:
     """Excluded-decoherence-time exponent, full and simplified forms.
 
     Full: mu = log10 N_ext + log10 tau + 2 log10(a0 / l_q) + 2 log10(m_u / m_e);
     the simplified form drops the last two terms, which happen to cancel
     near l_q = 100 nm.
     """
-    c = consts or constants()
+    c = constants()
     tau_e = (
         params.coherence_time
         * (params.sigma_q * c.m_u * c.a0 / (c.m_e * c.hbar)) ** 2
@@ -414,7 +401,6 @@ def nh_rate(
     q_operator: np.ndarray,
     sigma_q: float,
     tau_e: float,
-    consts: PhysicalConstants | None = None,
 ) -> dict:
     """Decoherence rate of the diffusive momentum-kick model.
 
@@ -422,7 +408,7 @@ def nh_rate(
     the headline rate substitutes F2 for the QFI (F2 ~ F), as noted in
     the output.
     """
-    c = consts or constants()
+    c = constants()
     if sigma_q <= 0 or tau_e <= 0:
         raise DomainError("sigma_q and tau_e must be positive")
     f2 = sub_qfi_f2(rho, q_operator).value
@@ -466,13 +452,13 @@ def fein_setup() -> TalbotLauSetup:
     )
 
 
-def bose_proposal_point(consts: PhysicalConstants | None = None) -> DatasetPoint:
+def bose_proposal_point() -> DatasetPoint:
     """Gravitationally entangled microspheres: 1e-14 kg, 250 um separation.
 
     No published entangled-size value exists; the full-cat-regime atom
     count (carbon composition) is reported with a provenance note.
     """
-    c = consts or constants()
+    c = constants()
     mass = 1.0e-14
     separation = 250e-6
     n_ext = (mass * separation / (2.0 * c.Q0)) ** 2
@@ -486,12 +472,11 @@ def bose_proposal_point(consts: PhysicalConstants | None = None) -> DatasetPoint
     )
 
 
-def figure_dataset(consts: PhysicalConstants | None = None) -> list[DatasetPoint]:
+def figure_dataset() -> list[DatasetPoint]:
     """All systems: survey rows, crystal (momentum and position), the
     diffraction experiment, and the gravity proposal."""
-    c = consts or constants()
     points: list[DatasetPoint] = []
-    for row in table1(c):
+    for row in table1():
         points.append(
             DatasetPoint(
                 label=row.label,
@@ -503,7 +488,7 @@ def figure_dataset(consts: PhysicalConstants | None = None) -> list[DatasetPoint
                 note=row.note,
             )
         )
-    crystal = leggett_crystal(leggett_scenario(), c)
+    crystal = leggett_crystal(leggett_scenario())
     points.append(
         DatasetPoint(
             label="Leggett 2016, t=0 (momentum)",
@@ -521,7 +506,7 @@ def figure_dataset(consts: PhysicalConstants | None = None) -> list[DatasetPoint
             kind="thought-experiment",
         )
     )
-    fein = diffraction_sizes(fein_setup(), consts=c)
+    fein = diffraction_sizes(fein_setup())
     points.append(
         DatasetPoint(
             label="Fein 2019 (diffraction)",
@@ -531,19 +516,5 @@ def figure_dataset(consts: PhysicalConstants | None = None) -> list[DatasetPoint
             note="lower bounds from fringe statistics",
         )
     )
-    points.append(bose_proposal_point(c))
+    points.append(bose_proposal_point())
     return points
-
-
-def dataset_csv(points: Sequence[DatasetPoint]) -> str:
-    """Fixed-order CSV: label,n_ext,n_ent,class,deviation_ext,deviation_ent."""
-    out = io.StringIO()
-    out.write("label,n_ext,n_ent,class,deviation_ext,deviation_ent\n")
-    for p in points:
-        dev_ext = "" if p.deviation_ext is None else f"{p.deviation_ext:.5e}"
-        dev_ent = "" if p.deviation_ent is None else f"{p.deviation_ent:.5e}"
-        label = p.label.replace(",", ";")
-        out.write(
-            f"{label},{p.n_ext:.5e},{p.n_ent:.5e},{p.kind},{dev_ext},{dev_ent}\n"
-        )
-    return out.getvalue()

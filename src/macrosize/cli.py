@@ -10,6 +10,7 @@ file-format error, 3 physics-domain error, 4 unfaithful reconstruction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -117,22 +118,25 @@ def parse_quantity(raw, expect: str) -> float:
     """Parse '1.3e-14 kg' against the unit whitelist.
 
     Plain numbers are accepted only for dimensionless quantities; Hz is
-    accepted where rad/s is expected (explicit 2 pi conversion).
+    accepted where rad/s is expected (explicit 2 pi conversion).  NaN and
+    infinite values are rejected.
     """
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if expect == "dimensionless":
-            return float(raw)
-        raise ConfigError(f"value {raw!r} needs an explicit {expect!r} unit suffix")
-    if not isinstance(raw, str):
+        if expect != "dimensionless":
+            raise ConfigError(f"value {raw!r} needs an explicit {expect!r} unit suffix")
+        number, unit = raw, expect
+    elif not isinstance(raw, str):
         raise ConfigError(f"cannot parse quantity from {raw!r}")
-    parts = raw.split()
-    if len(parts) != 2:
+    elif len(raw.split()) != 2:
         raise ConfigError(f"expected '<value> <unit>', got {raw!r}")
+    else:
+        number, unit = raw.split()
     try:
-        value = float(parts[0])
-    except ValueError as exc:
+        value = float(number)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"unparseable number in {raw!r}") from exc
-    unit = parts[1]
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number in {raw!r}")
     if unit not in UNIT_WHITELIST:
         raise ConfigError(f"unit {unit!r} not in whitelist {sorted(UNIT_WHITELIST)}")
     if unit == expect:
@@ -227,7 +231,7 @@ def cmd_measure(args, out: Output) -> int:
 
     if system == "ghz":
         rho, observable = quantum.ghz_state(int(cfg["n"]), cfg["q"], cfg.get("phase", 0.0))
-        report = measures.size_report_for_state(rho, observable, unit=1.0, unit_label="sigma_z")
+        report = measures.size_report_for_state(rho, observable)
         out.add("n_ext", report.n_ext)
         out.add("n_ent", report.n_ent)
         out.add("witness_depth", report.witness_depth)
@@ -331,19 +335,6 @@ DIFFRACTION_SCHEMA = {
 }
 
 
-def _setup_with_l0(setup: diffraction.TalbotLauSetup, visibility, l0):
-    return diffraction.TalbotLauSetup(
-        mass=setup.mass,
-        n_atoms=setup.n_atoms,
-        grating_period=setup.grating_period,
-        open_fraction=setup.open_fraction,
-        visibility=visibility,
-        flight_time=setup.flight_time,
-        source_g1=l0,
-        g1_g2=setup.g1_g2,
-    )
-
-
 def cmd_diffraction(args, out: Output) -> int:
     cfg = load_config(
         args.config,
@@ -380,7 +371,9 @@ def cmd_diffraction(args, out: Output) -> int:
     # entangled-size range over the conventional [0.2 m, 1 m] window.
     ends = [
         diffraction.diffraction_sizes(
-            _setup_with_l0(setup, report.inputs["visibility"], l0)
+            dataclasses.replace(
+                setup, visibility=report.inputs["visibility"], source_g1=l0
+            )
         ).n_ent
         for l0 in (0.2, 1.0)
     ]
@@ -409,6 +402,14 @@ OSCILLATOR_SCHEMA = {
     "mode": "raw",
 }
 
+# shape -> (constructor, dimension keys in the constructor's order)
+GEOMETRIES = {
+    "circular-drum": (oscillator.circular_drum, ("radius", "thickness")),
+    "square-drum": (oscillator.square_drum, ("side", "thickness")),
+    "torus": (oscillator.torus_body, ("minor_radius", "major_radius")),
+    "uniform": (oscillator.uniform_body, ("volume",)),
+}
+
 
 def cmd_oscillator(args, out: Output) -> int:
     cfg = load_config(
@@ -417,22 +418,13 @@ def cmd_oscillator(args, out: Output) -> int:
         ["shape", "density", "atomic_mass", "frequency", "nbar"],
     )
     shape = cfg["shape"]
-    if shape == "circular-drum":
-        geom = oscillator.circular_drum(
-            cfg["radius"], cfg["thickness"], cfg["density"], cfg["atomic_mass"]
-        )
-    elif shape == "square-drum":
-        geom = oscillator.square_drum(
-            cfg["side"], cfg["thickness"], cfg["density"], cfg["atomic_mass"]
-        )
-    elif shape == "torus":
-        geom = oscillator.torus_body(
-            cfg["minor_radius"], cfg["major_radius"], cfg["density"], cfg["atomic_mass"]
-        )
-    elif shape == "uniform":
-        geom = oscillator.uniform_body(cfg["volume"], cfg["density"], cfg["atomic_mass"])
-    else:
+    if not isinstance(shape, str) or shape not in GEOMETRIES:
         raise ConfigError(f"unknown shape {shape!r}")
+    build, keys = GEOMETRIES[shape]
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ConfigError(f"{shape} config is missing dimension keys {missing}")
+    geom = build(*(cfg[key] for key in keys), cfg["density"], cfg["atomic_mass"])
     mode = oscillator.mode_volume(geom, cfg.get("mode", "fundamental"), omega=cfg["frequency"])
     out.note("frequencies given in Hz are converted to rad/s (x 2 pi)")
     report = oscillator.thermal_sizes(
@@ -534,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-macroscopicity sizes from states, grids, and statistics",
     )
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    parser.add_argument("--seed", type=int, default=0, help="seed for stochastic calibrations")
     parser.add_argument("--out", default=None, help="write output to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 

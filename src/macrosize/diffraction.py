@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MacrosizeError
-from .measures import PhysicalConstants, SizeReport, constants, extensive_size
+from .measures import SizeReport, constants, extensive_size
 
 
 class FitError(MacrosizeError):
@@ -66,13 +66,15 @@ class FringeScan:
         n = np.asarray(self.counts, dtype=float)
         if s.ndim != 1 or s.shape != n.shape or s.size < 8:
             raise DomainError("scan needs >= 8 (position, count) pairs")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(n))):
+            raise DomainError("scan positions and counts must be finite")
         object.__setattr__(self, "positions", s)
         object.__setattr__(self, "counts", n)
         mean = float(np.mean(n))
         if abs(mean - 1.0) > 0.05:
             raise DomainError(
                 f"counts must be normalized to unit mean (got {mean:.4f}); "
-                "use normalized_counts() first"
+                "use FringeScan.from_raw() first"
             )
 
     @classmethod
@@ -84,8 +86,11 @@ class FringeScan:
         return cls(np.asarray(positions, dtype=float), raw / mean)
 
 
-def load_fringe_scan(path, normalize: bool = True) -> FringeScan:
-    """Read a 'fringe-scan v1' text file of `s n` pairs (SI meters, counts)."""
+def load_fringe_scan(path) -> FringeScan:
+    """Read a 'fringe-scan v1' text file of `s n` pairs (SI meters, counts).
+
+    Counts are normalized to unit mean on load.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line.strip() for line in handle if line.strip()]
     if not lines or lines[0] != "fringe-scan v1":
@@ -100,14 +105,13 @@ def load_fringe_scan(path, normalize: bool = True) -> FringeScan:
         except ValueError as exc:
             raise DomainError(f"unparseable scan line {i + 1}: {line!r}") from exc
     s, n = np.array(pairs).T
-    return FringeScan.from_raw(s, n) if normalize else FringeScan(s, n)
+    return FringeScan.from_raw(s, n)
 
 
 @dataclass(frozen=True)
 class FringeFit:
     visibility: float
     wavenumber: float
-    phase: float
     residual_rms: float
 
 
@@ -182,10 +186,9 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     if c <= 0:
         raise FitError("fitted fringe offset is not positive")
     visibility = min(1.0, float(np.hypot(a, b) / c))
-    phase = float(math.atan2(b, a))
     if rms > 0.2:
         raise FitError(f"non-sinusoidal scan: residual rms {rms:.3f} > 0.2")
-    return FringeFit(visibility, k, phase, rms)
+    return FringeFit(visibility, k, rms)
 
 
 def fi_bound(open_fraction: float, visibility: float, wavenumber: float) -> float:
@@ -203,16 +206,13 @@ def fi_bound(open_fraction: float, visibility: float, wavenumber: float) -> floa
     )
 
 
-def qfi_bound(
-    fi_classical: float, flight_time: float, consts: PhysicalConstants | None = None
-) -> float:
+def qfi_bound(fi_classical: float, flight_time: float) -> float:
     """Position-QFI lower bound (hbar t)^2 * F_cl (kg^2 m^2)."""
-    consts = consts or constants()
     if flight_time <= 0:
         raise DomainError(f"flight time must be positive, got {flight_time}")
     if fi_classical < 0:
         raise DomainError(f"classical FI must be >= 0, got {fi_classical}")
-    return (consts.hbar * flight_time) ** 2 * fi_classical
+    return (constants().hbar * flight_time) ** 2 * fi_classical
 
 
 def coherence_length(qfi_value: float, mass: float) -> float:
@@ -241,34 +241,31 @@ def diffraction_sizes(
     setup: TalbotLauSetup,
     scan: FringeScan | None = None,
     visibility: float | None = None,
-    wavenumber: float | None = None,
-    consts: PhysicalConstants | None = None,
 ) -> SizeReport:
     """Full chain: fringe statistics -> QFI bound -> sizes.
 
-    Visibility comes from a fitted ``scan`` when given, otherwise from the
-    explicit arguments or the setup.  All outputs are lower bounds.
+    Visibility and wavenumber come from a fitted ``scan`` when given;
+    otherwise the visibility is the explicit argument or the setup's, and
+    the wavenumber is the grating's.  All outputs are lower bounds.
     """
-    consts = consts or constants()
     if scan is not None:
         fit = fit_fringe(scan)
         visibility = fit.visibility
         wavenumber = fit.wavenumber
     else:
         visibility = setup.visibility if visibility is None else visibility
-        wavenumber = setup.wavenumber if wavenumber is None else wavenumber
+        wavenumber = setup.wavenumber
         if visibility is None:
             raise DomainError("need a fringe scan or an explicit visibility")
     fi_cl = fi_bound(setup.open_fraction, visibility, wavenumber)
-    f_q = qfi_bound(fi_cl, setup.flight_time, consts)
+    f_q = qfi_bound(fi_cl, setup.flight_time)
     chi = coherence_length(f_q, setup.mass)
     _dx1, dx2 = cm_spread(setup)
-    n_ext = extensive_size(f_q, consts.Q0)
+    n_ext = extensive_size(f_q, constants().Q0)
     n_ent = setup.n_atoms * (chi / dx2) ** 2
     return SizeReport(
         n_ext=n_ext,
         n_ent=n_ent,
-        unit="Q0",
         inputs={
             "visibility": visibility,
             "wavenumber": wavenumber,
@@ -279,5 +276,4 @@ def diffraction_sizes(
             "n_atoms": setup.n_atoms,
             "flight_time": setup.flight_time,
         },
-        notes=("lower bound from detection statistics",),
     )

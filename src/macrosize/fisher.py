@@ -12,11 +12,14 @@ as a fast path.  Both paths give the QFI matrix of several generators,
 
     F_ab = 2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) Re(<i|A|j> conj(<i|B|j>)),
 
-or 4 (0.5 tr rho{A, B} - <A><B>) for pure states, with the QFI of one
-generator its 1x1 case.  The QFI of a quadrature cos(theta) x + sin(theta) p
-is the quadratic form of the 2x2 matrix of (x, p), so its maximum over
-theta is the matrix's top eigenvalue (Paris, Int. J. Quantum Inf. 7, 125
-(2009); Liu et al., J. Phys. A 53, 023001 (2020)).  When the two
+or 4 Re tr(rho B_a B_b) with centred B_a = A_a - <A_a> for pure states,
+with the QFI of one generator its 1x1 case.  Variances are likewise
+tr(rho B^2): the two-moment form tr(rho A^2) - <A>^2 cancels near an
+eigenstate of A, while the centred form keeps full relative accuracy.
+The QFI of a quadrature cos(theta) x + sin(theta) p is the quadratic
+form of the 2x2 matrix of (x, p), so its maximum over theta is the
+matrix's top eigenvalue (Paris, Int. J. Quantum Inf. 7, 125 (2009); Liu
+et al., J. Phys. A 53, 023001 (2020)).  When the two
 eigenvalues agree to ``ISOTROPY_FACTOR`` the state is isotropic and the
 maximizing angle is 0 by convention.  The state is validated once, where
 it enters a public function.
@@ -66,15 +69,19 @@ def _check_pair(rho: np.ndarray, operator: np.ndarray):
 
 
 def variance(rho: np.ndarray, operator: np.ndarray) -> float:
-    """Var(rho, A) = tr(rho A^2) - tr(rho A)^2."""
+    """Var(rho, A) = tr(rho B^2) with B = A - tr(rho A)."""
     return _variance(*_check_pair(rho, operator))
+
+
+def _centered(rho: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """B = A - <A> I for a checked state and observable."""
+    return operator - quantum.expectation(rho, operator) * np.eye(operator.shape[0])
 
 
 def _variance(rho: np.ndarray, operator: np.ndarray) -> float:
     """``variance`` of an already checked state and observable."""
-    mean = quantum.expectation(rho, operator)
-    second = quantum.expectation(rho, operator @ operator)
-    return second - mean * mean
+    centered = _centered(rho, operator)
+    return quantum.expectation(rho @ centered, centered)  # tr(rho B B)
 
 
 def covariance(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -101,12 +108,14 @@ def _qfi_matrix(rho: np.ndarray, operators):
     matrix = np.empty((count, count))
     pur = quantum.purity(rho)
     if pur > quantum.PURITY_PURE_THRESHOLD:
-        # For Hermitian rho, A and B, 0.5 tr rho{A, B} = Re tr(rho A B).
-        means = [quantum.expectation(rho, op) for op in operators]
+        # For Hermitian rho, B_a and B_b, 0.5 tr rho{B_a, B_b} = Re tr(rho B_a B_b),
+        # from one rho B_a product per generator.
+        centered = [_centered(rho, op) for op in operators]
+        products = [rho @ op for op in centered]
         for a in range(count):
             for b in range(a, count):
-                second = quantum.expectation(rho, operators[a] @ operators[b])
-                matrix[a, b] = matrix[b, a] = 4.0 * (second - means[a] * means[b])
+                second = quantum.expectation(products[a], centered[b])
+                matrix[a, b] = matrix[b, a] = 4.0 * second
         return matrix, "pure-variance", {"purity": pur}, None
 
     lam, vec = quantum.eigh(rho)

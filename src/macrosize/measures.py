@@ -50,6 +50,7 @@ _CODATA = PhysicalConstants()
 
 
 def constants() -> PhysicalConstants:
+    """The one constants record that every formula in the package reads."""
     return _CODATA
 
 
@@ -104,11 +105,9 @@ class SizeReport:
 
     n_ext: float
     n_ent: float
-    unit: str = "Q0"
     n_ext_momentum: float | None = None
     n_ent_momentum: float | None = None
     inputs: Mapping = field(default_factory=dict)
-    notes: tuple = ()
 
     @property
     def witness_depth(self) -> int:
@@ -166,19 +165,18 @@ def two_branch_entangled_size(n: float, branch_ratio: float) -> float:
 
 
 def size_report_for_state(
-    rho: np.ndarray,
-    observable: PartitionedObservable,
-    unit: float = 1.0,
-    unit_label: str = "custom",
+    rho: np.ndarray, observable: PartitionedObservable
 ) -> SizeReport:
-    """Compute both measures for an explicit state and partitioned observable."""
+    """Compute both measures for an explicit state and partitioned observable.
+
+    The extensive size is in units of the observable itself (A0 = 1).
+    """
     total_qfi, local_vars = _qfi_and_variances(rho, observable)
-    n_ext = extensive_size(total_qfi, unit)
+    n_ext = extensive_size(total_qfi, 1.0)
     n_ent = entangled_size_from_values(total_qfi, local_vars)
     return SizeReport(
         n_ext=n_ext,
         n_ent=n_ent,
-        unit=unit_label,
         inputs={"qfi": total_qfi, "partition": observable.partition_label},
     )
 

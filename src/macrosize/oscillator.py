@@ -20,7 +20,7 @@ from scipy import integrate
 from scipy.special import j0, j1
 
 from .errors import DomainError
-from .measures import PhysicalConstants, SizeReport, constants
+from .measures import SizeReport, constants
 
 # First zero of the Bessel function J0; the drum fundamental J0(b01 r / R)
 # has mode volume pi R^2 t J1(b01)^2 ~ 0.2695 V.
@@ -132,12 +132,10 @@ class OscillatorMode:
         omega: float,
         mode_particle_number: float = 1.0,
         mode_volume: float | None = None,
-        consts: PhysicalConstants | None = None,
     ) -> "OscillatorMode":
-        consts = consts or constants()
         if omega <= 0:
             raise DomainError(f"frequency must be positive, got {omega}")
-        zp = math.sqrt(consts.hbar / (2.0 * mode_mass * omega))
+        zp = math.sqrt(constants().hbar / (2.0 * mode_mass * omega))
         return cls(mode_mass, zp, mode_particle_number, omega, mode_volume)
 
 
@@ -181,7 +179,6 @@ def mode_volume(
     *,
     numerical: bool = False,
     grid_spacing: tuple[float, float] | None = None,
-    consts: PhysicalConstants | None = None,
 ) -> OscillatorMode:
     """Mode volume, mass and particle number for a geometry and mode shape.
 
@@ -190,7 +187,6 @@ def mode_volume(
     ``grid_spacing``).  ``numerical=True`` cross-checks closed forms by
     adaptive quadrature.
     """
-    consts = consts or constants()
     volume = geometry.volume
     if isinstance(mode, str):
         if mode == "uniform":
@@ -228,7 +224,7 @@ def mode_volume(
     m_k = geometry.density * v_k
     n_k = geometry.atom_count * fraction
     if omega is not None:
-        return OscillatorMode.from_mass_and_omega(m_k, omega, n_k, v_k, consts)
+        return OscillatorMode.from_mass_and_omega(m_k, omega, n_k, v_k)
     # Without a frequency the zero-point spread is undefined; use a sentinel
     # only through from_mass_and_omega.  Here we require omega for sizes.
     return OscillatorMode(
@@ -244,7 +240,6 @@ def thermal_sizes(
     mode: OscillatorMode,
     nbar: float,
     delta_u: float = DELTA_U_DEFAULT,
-    consts: PhysicalConstants | None = None,
 ) -> SizeReport:
     """Extensive and entangled sizes of a thermal mode, both quadratures.
 
@@ -252,21 +247,20 @@ def thermal_sizes(
     N_ent = N_k (dX_zp / du)^2 / (2 nbar + 1).  The momentum entangled
     size (typically negligible) uses the reciprocal spread ratio.
     """
-    consts = consts or constants()
+    c = constants()
     if delta_u <= 0:
         raise DomainError(f"single-atom spread must be positive, got {delta_u}")
     if nbar < 0:
         raise DomainError(f"mean occupation must be >= 0, got {nbar}")
     denom = 2.0 * nbar + 1.0
-    n_ext_q = (mode.mode_mass * mode.zero_point / consts.Q0) ** 2 / denom
-    n_ext_p = (consts.a0 / mode.zero_point) ** 2 / denom
+    n_ext_q = (mode.mode_mass * mode.zero_point / c.Q0) ** 2 / denom
+    n_ext_p = (c.a0 / mode.zero_point) ** 2 / denom
     ratio = (mode.zero_point / delta_u) ** 2
     n_ent_q = mode.mode_particle_number * ratio / denom
     n_ent_p = 1.0 / (denom * mode.mode_particle_number * ratio)
     return SizeReport(
         n_ext=n_ext_q,
         n_ent=n_ent_q,
-        unit="Q0",
         n_ext_momentum=n_ext_p,
         n_ent_momentum=n_ent_p,
         inputs={
@@ -284,7 +278,6 @@ def measured_qfi_sizes(
     fhat: float,
     delta_u: float = DELTA_U_DEFAULT,
     vacuum_reference: float = 2.0,
-    consts: PhysicalConstants | None = None,
 ) -> SizeReport:
     """Sizes from a dimensionless measured QFI value.
 
@@ -294,18 +287,16 @@ def measured_qfi_sizes(
     normalization is fixed so that ``fhat == vacuum_reference`` reproduces
     the thermal closed forms at nbar = 0.
     """
-    consts = consts or constants()
     if fhat < 0:
         raise DomainError(f"dimensionless QFI must be >= 0, got {fhat}")
     if vacuum_reference <= 0:
         raise DomainError("vacuum reference must be positive")
     scale = fhat / vacuum_reference
-    n_ext = (mode.mode_mass * mode.zero_point / consts.Q0) ** 2 * scale
+    n_ext = (mode.mode_mass * mode.zero_point / constants().Q0) ** 2 * scale
     n_ent = mode.mode_particle_number * scale * (mode.zero_point / delta_u) ** 2
     return SizeReport(
         n_ext=n_ext,
         n_ent=n_ent,
-        unit="Q0",
         inputs={
             "mode_mass": mode.mode_mass,
             "zero_point": mode.zero_point,
@@ -344,7 +335,6 @@ def levitated_sizes(
     delta_x_cm: float,
     atom_count: float,
     delta_u: float = DELTA_U_DEFAULT,
-    consts: PhysicalConstants | None = None,
 ) -> SizeReport:
     """Sizes for a levitated particle whose addressed mode is the CM motion.
 
@@ -352,7 +342,6 @@ def levitated_sizes(
     the single-particle variance is dominated by the CM spread, giving
     N_ent = N chi^2 / (dX_cm^2 + du^2).
     """
-    consts = consts or constants()
     for name, value in (
         ("mass", mass),
         ("coherence length", coherence_length),
@@ -362,14 +351,13 @@ def levitated_sizes(
     ):
         if value < 0 or (name != "coherence length" and value == 0):
             raise DomainError(f"{name} must be positive, got {value}")
-    n_ext = (mass * coherence_length / consts.Q0) ** 2
+    n_ext = (mass * coherence_length / constants().Q0) ** 2
     n_ent = (
         atom_count * coherence_length**2 / (delta_x_cm**2 + delta_u**2)
     )
     return SizeReport(
         n_ext=n_ext,
         n_ent=n_ent,
-        unit="Q0",
         inputs={
             "mass": mass,
             "coherence_length": coherence_length,

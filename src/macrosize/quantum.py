@@ -51,9 +51,9 @@ def max_asymmetry(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
+def is_hermitian(matrix: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(matrix)))) if np.asarray(matrix).size else 1.0
-    return max_asymmetry(matrix) <= atol * scale
+    return max_asymmetry(matrix) <= HERMITICITY_ATOL * scale
 
 
 def require_hermitian(matrix: np.ndarray, name: str = "operator") -> np.ndarray:
@@ -68,8 +68,11 @@ def require_hermitian(matrix: np.ndarray, name: str = "operator") -> np.ndarray:
 
 
 def expectation(rho: np.ndarray, operator: np.ndarray) -> float:
-    """Real expectation value ``tr(rho @ operator)`` for Hermitian input."""
-    return float(np.real(np.trace(rho @ operator)))
+    """Real expectation value ``tr(rho @ operator)`` for Hermitian input.
+
+    Summed elementwise as sum_ij rho_ij A_ji, with no matrix product.
+    """
+    return float(np.real(np.sum(np.asarray(rho) * np.asarray(operator).T)))
 
 
 def purity(rho: np.ndarray) -> float:
@@ -303,7 +306,6 @@ def make_state(kind: str, dim: int, **params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def ghz_state(n: int, q: float, phase: float = 0.0):

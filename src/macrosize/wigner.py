@@ -32,6 +32,9 @@ RESIDUAL_LIMIT = 0.05
 DEFAULT_DIM = 40
 DIM_CAP = 200
 DIAGONAL_TAIL_LIMIT = 1e-3
+# A synthesized grid must cover the Fock levels up to the last one whose
+# upper population tail exceeds this.
+SUPPORT_TAIL = 1e-6
 
 
 class WignerFormatError(MacrosizeError):
@@ -184,8 +187,6 @@ def load_grid(path) -> WignerGrid:
             values[i] = [float(f) for f in fields]
         except ValueError as exc:
             raise GridValueError(f"unparseable value in data row {i}") from exc
-    if not np.all(np.isfinite(values)):
-        raise GridValueError("grid contains non-finite values")
     return WignerGrid(x_min, x_max, x_count, p_min, p_max, p_count, values * scale)
 
 
@@ -271,10 +272,10 @@ def synth_values(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.
     return w / math.pi
 
 
-def _support_radius(rho: np.ndarray, tail: float = 1e-6) -> float:
+def _support_radius(rho: np.ndarray) -> float:
     pops = np.real(np.diag(rho))
     cum = np.cumsum(pops[::-1])[::-1]
-    occupied = np.flatnonzero(cum > tail)
+    occupied = np.flatnonzero(cum > SUPPORT_TAIL)
     n_max = int(occupied[-1]) if occupied.size else 0
     return math.sqrt(2.0 * n_max + 1.0)
 
@@ -326,18 +327,14 @@ def _overlap_reconstruct(grid: WignerGrid, dim: int) -> np.ndarray:
     return rho + np.tril(rho, -1).conj().T
 
 
-def reconstruct(
-    grid: WignerGrid,
-    dim: int | None = None,
-    *,
-    residual_limit: float = RESIDUAL_LIMIT,
-) -> ReconstructionReport:
+def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionReport:
     """Reconstruct a density matrix from a grid by kernel overlaps.
 
     When ``dim`` is omitted, starts at 40 and raises it until the diagonal
     tail drops below 1e-3 (or the cap of 200).  Positivity is repaired by
     clipping negative eigenvalues (clipped mass reported) and the residual
-    is the relative L2 misfit of the re-synthesized grid.
+    is the relative L2 misfit of the re-synthesized grid; a residual above
+    ``RESIDUAL_LIMIT`` raises ``ReconstructionError``.
     """
     auto = dim is None
     dim = DEFAULT_DIM if auto else int(dim)
@@ -368,9 +365,9 @@ def reconstruct(
     scale = float(np.linalg.norm(grid.values))
     residual = float(np.linalg.norm(resynth - grid.values)) / max(scale, 1e-300)
     report = ReconstructionReport(rho, dim, clipped_mass, residual, tail)
-    if not residual <= residual_limit:  # a NaN residual fails too
+    if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise ReconstructionError(
-            f"unfaithful reconstruction: residual {residual:.4f} > {residual_limit}",
+            f"unfaithful reconstruction: residual {residual:.4f} > {RESIDUAL_LIMIT}",
             residual,
         )
     return report

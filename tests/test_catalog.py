@@ -9,7 +9,6 @@ from macrosize.catalog import (
     CrystalScenario,
     NHParams,
     bose_proposal_point,
-    dataset_csv,
     figure_dataset,
     flux_qubit,
     leggett_crystal,
@@ -233,15 +232,6 @@ def test_figure_dataset_contents():
     assert momentum_point.n_ent == pytest.approx(crystal["n_ent_momentum"])
     kinds = {p.kind for p in points}
     assert kinds == {"experiment", "proposal", "thought-experiment"}
-
-
-def test_dataset_csv_deterministic():
-    first = dataset_csv(figure_dataset())
-    second = dataset_csv(figure_dataset())
-    assert first == second
-    header = first.splitlines()[0]
-    assert header == "label,n_ext,n_ent,class,deviation_ext,deviation_ent"
-    assert len(first.splitlines()) == 15
 
 
 def test_deviation_report_monotone_safe():

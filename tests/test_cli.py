@@ -35,6 +35,18 @@ def test_measure_ghz(tmp_path, capsys):
     assert value == pytest.approx(5.0, abs=1e-9)
 
 
+def test_measure_ghz_witness_depth_near_product_state(tmp_path, capsys):
+    # Within 1e-9 of a product state, N_ent must still not exceed the register
+    # size, so the witnessed depth is at most n.
+    cfg = write_json(
+        tmp_path / "ghz.json", {"system": "ghz", "n": 5, "q": 1e-9, "phase": 0.7}
+    )
+    code, out, _err = run_cli(["measure", cfg], capsys)
+    assert code == 0
+    lines = dict(l.split()[:2] for l in out.splitlines() if not l.startswith("#"))
+    assert lines["witness_depth"] == "5"
+
+
 def test_measure_oscillator_teufel(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "teufel.json",
@@ -75,6 +87,22 @@ def test_measure_rejects_unknown_key(tmp_path, capsys):
     code, _out, err = run_cli(["measure", cfg], capsys)
     assert code == 2
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"system": "ghz", "n": float("nan"), "q": 0.5},
+        {"system": "fock", "kind": "vacuum", "dim": float("inf")},
+        {"system": "oscillator", "mode_mass": "NaN kg", "zero_point": "7.8e-15 m", "nbar": 0.34},
+    ],
+    ids=["nan-literal", "infinity-literal", "nan-string"],
+)
+def test_measure_rejects_non_finite(tmp_path, capsys, doc):
+    cfg = write_json(tmp_path / "bad.json", doc)
+    code, _out, err = run_cli(["measure", cfg], capsys)
+    assert code == 2
+    assert "non-finite" in err
 
 
 def test_measure_rejects_missing_unit(tmp_path, capsys):
@@ -208,20 +236,37 @@ def test_diffraction_fein(tmp_path, capsys):
     assert "n_ent_range_L0_0.2m_to_1m" in lines
 
 
+def write_fein_scan(path, nan_at=None):
+    """A clean 32-point Fein-like scan, with one count replaced by nan if asked."""
+    k = 2 * math.pi / 266e-9
+    rows = ["fringe-scan v1"]
+    for i, s in enumerate(np.linspace(0, 8e-7, 32)):
+        count = "nan" if i == nan_at else f"{140 * (1 + 0.25 * math.sin(k * s + 0.3)):.6f}"
+        rows.append(f"{s:.9e} {count}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def test_diffraction_with_scan(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "fein.json", {k: v for k, v in FEIN_CONFIG.items() if k != "visibility"}
     )
-    k = 2 * math.pi / 266e-9
-    scan_path = tmp_path / "scan.txt"
-    rows = ["fringe-scan v1"]
-    for s in np.linspace(0, 8e-7, 32):
-        rows.append(f"{s:.9e} {140 * (1 + 0.25 * math.sin(k * s + 0.3)):.6f}")
-    scan_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    code, out, _err = run_cli(["diffraction", cfg, str(scan_path)], capsys)
+    scan_path = write_fein_scan(tmp_path / "scan.txt")
+    code, out, _err = run_cli(["diffraction", cfg, scan_path], capsys)
     assert code == 0
     vis = float(next(l for l in out.splitlines() if l.startswith("visibility")).split()[1])
     assert vis == pytest.approx(0.25, abs=1e-3)
+
+
+def test_diffraction_rejects_nan_in_scan(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "fein.json", {k: v for k, v in FEIN_CONFIG.items() if k != "visibility"}
+    )
+    scan_path = write_fein_scan(tmp_path / "scan.txt", nan_at=5)
+    code, out, err = run_cli(["diffraction", cfg, scan_path], capsys)
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
 
 
 def test_diffraction_rejects_wrong_unit(tmp_path, capsys):
@@ -263,6 +308,14 @@ def test_oscillator_geometry_pipeline(tmp_path, capsys):
     assert "2 pi" in out  # Hz -> rad/s conversion note
 
 
+def test_oscillator_missing_dimension_key(tmp_path, capsys):
+    doc = {k: v for k, v in TEUFEL_GEOMETRY.items() if k != "radius"}
+    cfg = write_json(tmp_path / "drum.json", doc)
+    code, _out, err = run_cli(["oscillator", cfg], capsys)
+    assert code == 2
+    assert "radius" in err
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -299,7 +352,9 @@ def test_catalog_fig3_deterministic(tmp_path, capsys):
     )
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert len(out1.read_text().splitlines()) == 15  # header + 14 systems
+    lines = out1.read_text().splitlines()
+    assert lines[0] == "label,n_ext,n_ent,class,deviation_ext,deviation_ent"
+    assert len(lines) == 15  # header + 14 systems
 
 
 def test_catalog_unknown_selector(capsys):

@@ -105,6 +105,14 @@ def test_scan_file_rejects_bad_header(tmp_path):
         load_fringe_scan(path)
 
 
+def test_scan_rejects_non_finite_positions():
+    scan = _make_scan(0.25)
+    positions = scan.positions.copy()
+    positions[3] = np.inf
+    with pytest.raises(DomainError, match="finite"):
+        FringeScan(positions, scan.counts)
+
+
 # ---------------------------------------------------------------------------
 # bounds chain
 # ---------------------------------------------------------------------------
