@@ -1,9 +1,10 @@
 """Command-line frontend with reproducible, file-based inputs.
 
 Subcommands: ``measure``, ``wigner``, ``diffraction``, ``oscillator``,
-``catalog``.  Configurations are strict JSON documents: unknown keys are
-rejected, and every dimensionful quantity is a string with an explicit
-unit suffix (e.g. ``"1.3e-14 kg"``).  Exit codes: 0 success, 2 config or
+``catalog``.  Configurations are strict JSON documents, each checked
+against one schema table: unknown keys are rejected, every dimensionful
+quantity is a string with an explicit unit suffix (e.g. ``"1.3e-14 kg"``),
+counts are whole numbers and names are strings.  Exit codes: 0 success, 2 config or
 file-format error, 3 physics-domain error, 4 unfaithful reconstruction.
 """
 
@@ -17,7 +18,7 @@ import sys
 from typing import Mapping, Sequence
 
 from . import catalog, diffraction, measures, oscillator, quantum, wigner
-from .errors import ConfigError, DomainError, MacrosizeError
+from .errors import ConfigError, MacrosizeError
 from .fisher import qfi_max_quadrature
 
 EXIT_OK = 0
@@ -146,101 +147,135 @@ def parse_quantity(raw, expect: str) -> float:
     raise ConfigError(f"expected a {expect!r} quantity, got {raw!r}")
 
 
-def load_config(path, allowed: Mapping[str, str], required: Sequence[str]) -> dict:
-    """Strict JSON config: unknown keys rejected, required keys enforced.
+# Config value kinds besides the units above: a whole number, and a string.
+COUNT = "count"
+TEXT = "text"
+REQUIRED = True
+OPTIONAL = False
 
-    ``allowed`` maps key -> expected unit ('dimensionless' for bare
-    numbers, 'raw' to pass through untouched).
-    """
+
+def parse_value(key: str, raw, kind: str):
+    """Parse one config value of ``kind``: a unit, ``COUNT`` or ``TEXT``."""
+    if kind == TEXT:
+        if not isinstance(raw, str):
+            raise ConfigError(f"{key} must be a string, got {raw!r}")
+        return raw
+    if kind != COUNT:
+        return parse_quantity(raw, kind)
+    value = parse_quantity(raw, "dimensionless")
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {raw!r}")
+    return int(value)
+
+
+def read_config(path):
+    """The decoded JSON document of a config file; any read failure is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def parse_config(doc, schema: Mapping[str, tuple[str, bool]]) -> dict:
+    """Strict config: unknown keys rejected, required keys enforced.
+
+    ``schema`` maps key -> (kind, required); see ``parse_value`` for kinds.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
+    unknown = sorted(set(doc) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    missing = sorted(set(required) - set(doc))
+    missing = sorted(key for key, (_kind, req) in schema.items() if req and key not in doc)
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
-    parsed = {}
-    for key, raw in doc.items():
-        expect = allowed[key]
-        parsed[key] = raw if expect == "raw" else parse_quantity(raw, expect)
-    return parsed
+    return {key: parse_value(key, raw, schema[key][0]) for key, raw in doc.items()}
+
+
+def load_config(path, schema: Mapping[str, tuple[str, bool]]) -> dict:
+    """Read and parse one config file against ``schema``."""
+    return parse_config(read_config(path), schema)
 
 
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
 
-MEASURE_SCHEMAS = {
-    "ghz": {
-        "system": "raw",
-        "n": "dimensionless",
-        "q": "dimensionless",
-        "phase": "dimensionless",
-    },
-    "fock": {
-        "system": "raw",
-        "kind": "raw",
-        "dim": "dimensionless",
-        "alpha": "dimensionless",
-        "nbar": "dimensionless",
-        "r": "dimensionless",
-        "n": "dimensionless",
-    },
-    "oscillator": {
-        "system": "raw",
-        "mode_mass": "kg",
-        "zero_point": "m",
-        "frequency": "rad/s",
-        "nbar": "dimensionless",
-        "mode_atoms": "dimensionless",
-        "delta_u": "m",
-    },
+# An oscillator mode, for `measure oscillator` and `wigner --mode-config`.
+MODE_SCHEMA = {
+    "mode_mass": ("kg", REQUIRED),
+    "zero_point": ("m", OPTIONAL),
+    "frequency": ("rad/s", OPTIONAL),
+    "mode_atoms": ("dimensionless", OPTIONAL),
+    "delta_u": ("m", OPTIONAL),
 }
 
-MEASURE_REQUIRED = {
-    "ghz": ["n", "q"],
-    "fock": ["kind", "dim"],
-    "oscillator": ["mode_mass", "nbar"],
+
+def build_mode(cfg: Mapping, out: Output) -> oscillator.OscillatorMode:
+    """The mode of a ``MODE_SCHEMA`` config, from its zero-point spread or frequency."""
+    if "zero_point" in cfg:
+        return oscillator.OscillatorMode(
+            mode_mass=cfg["mode_mass"],
+            zero_point=cfg["zero_point"],
+            mode_particle_number=cfg.get("mode_atoms", 1.0),
+        )
+    if "frequency" in cfg:
+        mode = oscillator.OscillatorMode.from_mass_and_omega(
+            cfg["mode_mass"], cfg["frequency"], cfg.get("mode_atoms", 1.0)
+        )
+        out.note("frequencies given in Hz are converted to rad/s (x 2 pi)")
+        return mode
+    raise ConfigError("oscillator system needs zero_point or frequency")
+
+
+MEASURE_SCHEMAS = {
+    "ghz": {
+        "system": (TEXT, REQUIRED),
+        "n": (COUNT, REQUIRED),
+        "q": ("dimensionless", REQUIRED),
+        "phase": ("dimensionless", OPTIONAL),
+    },
+    "fock": {
+        "system": (TEXT, REQUIRED),
+        "kind": (TEXT, REQUIRED),
+        "dim": (COUNT, REQUIRED),
+        "alpha": ("dimensionless", OPTIONAL),
+        "nbar": ("dimensionless", OPTIONAL),
+        "r": ("dimensionless", OPTIONAL),
+        "n": (COUNT, OPTIONAL),
+    },
+    "oscillator": {
+        "system": (TEXT, REQUIRED),
+        "nbar": ("dimensionless", REQUIRED),
+        **MODE_SCHEMA,
+    },
 }
 
 
 def cmd_measure(args, out: Output) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    doc = read_config(args.config)
     if not isinstance(doc, dict) or "system" not in doc:
         raise ConfigError("measure config needs a 'system' key (ghz|fock|oscillator)")
-    system = doc["system"]
+    system = parse_value("system", doc["system"], TEXT)
     if system not in MEASURE_SCHEMAS:
         raise ConfigError(
             f"unknown system {system!r}; choose from {sorted(MEASURE_SCHEMAS)}"
         )
-    cfg = load_config(
-        args.config, MEASURE_SCHEMAS[system], ["system"] + MEASURE_REQUIRED[system]
-    )
+    cfg = parse_config(doc, MEASURE_SCHEMAS[system])
 
     if system == "ghz":
-        rho, observable = quantum.ghz_state(int(cfg["n"]), cfg["q"], cfg.get("phase", 0.0))
+        rho, observable = quantum.ghz_state(cfg["n"], cfg["q"], cfg.get("phase", 0.0))
         report = measures.size_report_for_state(rho, observable)
         out.add("n_ext", report.n_ext)
         out.add("n_ent", report.n_ent)
         out.add("witness_depth", report.witness_depth)
         out.note("n_ext normalized to a unit spin observable (A0 = 1)")
     elif system == "fock":
-        dim = int(cfg["dim"])
+        dim = cfg["dim"]
         params = {k: cfg[k] for k in ("alpha", "nbar", "r", "n") if k in cfg}
-        if "n" in params:
-            params["n"] = int(params["n"])
         rho = quantum.make_state(cfg["kind"], dim, **params)
         _a, x_op, p_op = quantum.fock_operators(dim, nu=0.5, hbar=1.0)
         theta, result = qfi_max_quadrature(rho, x_op, p_op)
@@ -253,19 +288,7 @@ def cmd_measure(args, out: Output) -> int:
                 "theta_star is 0 by convention"
             )
     else:
-        if "zero_point" in cfg:
-            mode = oscillator.OscillatorMode(
-                mode_mass=cfg["mode_mass"],
-                zero_point=cfg["zero_point"],
-                mode_particle_number=cfg.get("mode_atoms", 1.0),
-            )
-        elif "frequency" in cfg:
-            mode = oscillator.OscillatorMode.from_mass_and_omega(
-                cfg["mode_mass"], cfg["frequency"], cfg.get("mode_atoms", 1.0)
-            )
-            out.note("frequencies given in Hz are converted to rad/s (x 2 pi)")
-        else:
-            raise ConfigError("oscillator system needs zero_point or frequency")
+        mode = build_mode(cfg, out)
         report = oscillator.thermal_sizes(
             mode, cfg["nbar"], cfg.get("delta_u", oscillator.DELTA_U_DEFAULT)
         )
@@ -281,14 +304,6 @@ def cmd_measure(args, out: Output) -> int:
 # wigner
 # ---------------------------------------------------------------------------
 
-WIGNER_MODE_SCHEMA = {
-    "mode_mass": "kg",
-    "zero_point": "m",
-    "mode_atoms": "dimensionless",
-    "delta_u": "m",
-}
-
-
 def cmd_wigner(args, out: Output) -> int:
     grid = wigner.load_grid(args.grid)
     grid.check()
@@ -300,14 +315,8 @@ def cmd_wigner(args, out: Output) -> int:
     out.add("fhat", fhat)
     out.note("fhat in the vacuum => 2.0 quadrature convention")
     if args.mode_config:
-        cfg = load_config(
-            args.mode_config, WIGNER_MODE_SCHEMA, ["mode_mass", "zero_point"]
-        )
-        mode = oscillator.OscillatorMode(
-            mode_mass=cfg["mode_mass"],
-            zero_point=cfg["zero_point"],
-            mode_particle_number=cfg.get("mode_atoms", 1.0),
-        )
+        cfg = load_config(args.mode_config, MODE_SCHEMA)
+        mode = build_mode(cfg, out)
         sizes = oscillator.measured_qfi_sizes(
             mode, fhat, cfg.get("delta_u", oscillator.DELTA_U_DEFAULT)
         )
@@ -322,25 +331,21 @@ def cmd_wigner(args, out: Output) -> int:
 # ---------------------------------------------------------------------------
 
 DIFFRACTION_SCHEMA = {
-    "mass": "kg",
-    "n_atoms": "dimensionless",
-    "grating_period": "m",
-    "open_fraction": "dimensionless",
-    "visibility": "dimensionless",
-    "flight_time": "s",
-    "flight_distance": "m",
-    "speed": "m/s",
-    "source_g1": "m",
-    "g1_g2": "m",
+    "mass": ("kg", REQUIRED),
+    "n_atoms": ("dimensionless", REQUIRED),
+    "grating_period": ("m", REQUIRED),
+    "open_fraction": ("dimensionless", REQUIRED),
+    "visibility": ("dimensionless", OPTIONAL),
+    "flight_time": ("s", OPTIONAL),
+    "flight_distance": ("m", OPTIONAL),
+    "speed": ("m/s", OPTIONAL),
+    "source_g1": ("m", REQUIRED),
+    "g1_g2": ("m", REQUIRED),
 }
 
 
 def cmd_diffraction(args, out: Output) -> int:
-    cfg = load_config(
-        args.config,
-        DIFFRACTION_SCHEMA,
-        ["mass", "n_atoms", "grating_period", "open_fraction", "source_g1", "g1_g2"],
-    )
+    cfg = load_config(args.config, DIFFRACTION_SCHEMA)
     if "flight_time" in cfg:
         flight_time = cfg["flight_time"]
     elif "flight_distance" in cfg and "speed" in cfg:
@@ -387,19 +392,19 @@ def cmd_diffraction(args, out: Output) -> int:
 # ---------------------------------------------------------------------------
 
 OSCILLATOR_SCHEMA = {
-    "shape": "raw",
-    "radius": "m",
-    "thickness": "m",
-    "side": "m",
-    "volume": "m3",
-    "minor_radius": "m",
-    "major_radius": "m",
-    "density": "kg/m3",
-    "atomic_mass": "kg",
-    "frequency": "rad/s",
-    "nbar": "dimensionless",
-    "delta_u": "m",
-    "mode": "raw",
+    "shape": (TEXT, REQUIRED),
+    "radius": ("m", OPTIONAL),
+    "thickness": ("m", OPTIONAL),
+    "side": ("m", OPTIONAL),
+    "volume": ("m3", OPTIONAL),
+    "minor_radius": ("m", OPTIONAL),
+    "major_radius": ("m", OPTIONAL),
+    "density": ("kg/m3", REQUIRED),
+    "atomic_mass": ("kg", REQUIRED),
+    "frequency": ("rad/s", REQUIRED),
+    "nbar": ("dimensionless", REQUIRED),
+    "delta_u": ("m", OPTIONAL),
+    "mode": (TEXT, OPTIONAL),
 }
 
 # shape -> (constructor, dimension keys in the constructor's order)
@@ -412,13 +417,9 @@ GEOMETRIES = {
 
 
 def cmd_oscillator(args, out: Output) -> int:
-    cfg = load_config(
-        args.config,
-        OSCILLATOR_SCHEMA,
-        ["shape", "density", "atomic_mass", "frequency", "nbar"],
-    )
+    cfg = load_config(args.config, OSCILLATOR_SCHEMA)
     shape = cfg["shape"]
-    if not isinstance(shape, str) or shape not in GEOMETRIES:
+    if shape not in GEOMETRIES:
         raise ConfigError(f"unknown shape {shape!r}")
     build, keys = GEOMETRIES[shape]
     missing = [key for key in keys if key not in cfg]
@@ -445,42 +446,33 @@ def cmd_oscillator(args, out: Output) -> int:
 # catalog
 # ---------------------------------------------------------------------------
 
+SIZE_HEADERS = ["label", "n_ext", "n_ent", "class", "deviation_ext", "deviation_ent"]
+
+
+def _sci(value) -> str:
+    return "" if value is None else f"{value:.5e}"
+
+
+def _size_rows(points) -> list[list[str]]:
+    """Table cells of ``table1`` rows or ``figure_dataset`` points."""
+    return [
+        [p.label.replace(",", ";"), _sci(p.n_ext), _sci(p.n_ent), p.kind]
+        + [_sci(p.deviation_ext), _sci(p.deviation_ent)]
+        for p in points
+    ]
+
 
 def cmd_catalog(args, out: Output) -> int:
     what = args.what
     if what == "table1":
-        headers = ["label", "n_ext", "n_ent", "class", "deviation_ext", "deviation_ent"]
-        rows = []
-        for row in catalog.table1():
-            rows.append(
-                [
-                    row.label.replace(",", ";"),
-                    f"{row.n_ext:.5e}",
-                    f"{row.n_ent:.5e}",
-                    row.kind,
-                    f"{row.deviation_ext:.5e}",
-                    f"{row.deviation_ent:.5e}",
-                ]
-            )
+        rows = catalog.table1()
+        for row in rows:
             if row.note:
                 out.note(f"{row.label}: {row.note}")
-        out.add_table(headers, rows)
+        out.add_table(SIZE_HEADERS, _size_rows(rows))
         return EXIT_OK
     if what == "fig3":
-        headers = ["label", "n_ext", "n_ent", "class", "deviation_ext", "deviation_ent"]
-        rows = []
-        for p in catalog.figure_dataset():
-            rows.append(
-                [
-                    p.label.replace(",", ";"),
-                    f"{p.n_ext:.5e}",
-                    f"{p.n_ent:.5e}",
-                    p.kind,
-                    "" if p.deviation_ext is None else f"{p.deviation_ext:.5e}",
-                    "" if p.deviation_ent is None else f"{p.deviation_ent:.5e}",
-                ]
-            )
-        out.add_table(headers, rows)
+        out.add_table(SIZE_HEADERS, _size_rows(catalog.figure_dataset()))
         return EXIT_OK
     if what == "leggett":
         report = catalog.leggett_crystal(catalog.leggett_scenario())

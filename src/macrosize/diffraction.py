@@ -91,8 +91,11 @@ def load_fringe_scan(path) -> FringeScan:
 
     Counts are normalized to unit mean on load.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"scan file is not UTF-8 text: {exc}") from exc
     if not lines or lines[0] != "fringe-scan v1":
         raise DomainError("missing 'fringe-scan v1' header")
     pairs = []
@@ -104,6 +107,8 @@ def load_fringe_scan(path) -> FringeScan:
             pairs.append((float(fields[0]), float(fields[1])))
         except ValueError as exc:
             raise DomainError(f"unparseable scan line {i + 1}: {line!r}") from exc
+    if not pairs:
+        raise DomainError("scan file holds no 's n' lines")
     s, n = np.array(pairs).T
     return FringeScan.from_raw(s, n)
 

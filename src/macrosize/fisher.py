@@ -84,18 +84,6 @@ def _variance(rho: np.ndarray, operator: np.ndarray) -> float:
     return quantum.expectation(rho @ centered, centered)  # tr(rho B B)
 
 
-def covariance(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetrized covariance 0.5 tr[rho (AB + BA)] - tr[rho A] tr[rho B]."""
-    rho, a = _check_pair(rho, a)
-    b = quantum.require_hermitian(b, "observable B")
-    if b.shape != a.shape:
-        raise DomainError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    sym = 0.5 * (a @ b + b @ a)
-    return quantum.expectation(rho, sym) - quantum.expectation(
-        rho, a
-    ) * quantum.expectation(rho, b)
-
-
 def _qfi_matrix(rho: np.ndarray, operators):
     """QFI matrix F_ab of a validated ``rho`` for Hermitian generators A_a.
 

@@ -174,51 +174,27 @@ def _quadrature_volume_fraction(geometry: ModeGeometry, rtol: float = 1e-6) -> f
 
 def mode_volume(
     geometry: ModeGeometry,
-    mode: str | np.ndarray = "fundamental",
+    mode: str = "fundamental",
     omega: float | None = None,
     *,
     numerical: bool = False,
-    grid_spacing: tuple[float, float] | None = None,
 ) -> OscillatorMode:
     """Mode volume, mass and particle number for a geometry and mode shape.
 
-    ``mode`` is ``"fundamental"``, ``"uniform"``, or a 2-D array sampling a
-    custom drum mode function (unit peak amplitude, spacing via
-    ``grid_spacing``).  ``numerical=True`` cross-checks closed forms by
-    adaptive quadrature.
+    ``mode`` is ``"fundamental"`` or ``"uniform"``.  ``numerical=True``
+    cross-checks closed forms by adaptive quadrature.
     """
     volume = geometry.volume
-    if isinstance(mode, str):
-        if mode == "uniform":
-            fraction = 1.0
-        elif mode == "fundamental":
-            fraction = (
-                _quadrature_volume_fraction(geometry)
-                if numerical
-                else _fundamental_volume_fraction(geometry)
-            )
-        else:
-            raise DomainError(f"unknown mode {mode!r}")
-    else:
-        w = np.asarray(mode, dtype=float)
-        if w.ndim != 2:
-            raise DomainError("custom mode grids must be 2-D")
-        peak = float(np.max(np.abs(w)))
-        if abs(peak - 1.0) > 1e-6:
-            raise DomainError(
-                f"custom mode must be normalized to unit peak, got max |w| = {peak!r}"
-            )
-        if grid_spacing is None:
-            raise DomainError("custom mode grids need grid_spacing=(dx, dy)")
-        dx, dy = grid_spacing
-        if geometry.shape not in ("circular-drum", "square-drum"):
-            raise DomainError("custom mode grids apply to drum geometries")
-        thickness = geometry.dimensions["thickness"]
-        area_integral = float(
-            integrate.simpson(integrate.simpson(w**2, dx=dy, axis=1), dx=dx)
+    if mode == "uniform":
+        fraction = 1.0
+    elif mode == "fundamental":
+        fraction = (
+            _quadrature_volume_fraction(geometry)
+            if numerical
+            else _fundamental_volume_fraction(geometry)
         )
-        v_k = area_integral * thickness
-        fraction = v_k / volume
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
 
     v_k = fraction * volume
     m_k = geometry.density * v_k

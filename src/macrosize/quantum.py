@@ -76,8 +76,7 @@ def expectation(rho: np.ndarray, operator: np.ndarray) -> float:
 
 
 def purity(rho: np.ndarray) -> float:
-    rho = np.asarray(rho)
-    return float(np.real(np.sum(rho * rho.T)))
+    return expectation(rho, rho)
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -205,36 +204,40 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return np.exp(log_mag - 0.5 * abs(alpha) ** 2) * phases
 
 
-def coherent_state(alpha: complex, dim: int) -> np.ndarray:
-    amps = coherent_amplitudes(alpha, dim)
+def _pure_state(amplitudes, dim: int, exact_norm2: float, label: str) -> np.ndarray:
+    """|psi><psi| of the normalized ``amplitudes(dim)``.
+
+    ``exact_norm2`` is the untruncated norm squared of the amplitudes;
+    a truncated tail weight at or above TAIL_THRESHOLD raises
+    :class:`TruncationError` with a suggested dimension.
+    """
+    amps = amplitudes(dim)
     norm2 = float(np.sum(np.abs(amps) ** 2))
-    tail = 1.0 - norm2
 
     def tail_of(d: int) -> float:
-        return 1.0 - float(np.sum(np.abs(coherent_amplitudes(alpha, d)) ** 2))
+        return 1.0 - float(np.sum(np.abs(amplitudes(d)) ** 2)) / exact_norm2
 
-    _check_tail(tail, dim, tail_of, f"coherent alpha={alpha}")
+    _check_tail(1.0 - norm2 / exact_norm2, dim, tail_of, label)
     psi = amps / math.sqrt(norm2)
     return np.outer(psi, psi.conj())
 
 
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    return _pure_state(
+        lambda d: coherent_amplitudes(alpha, d), dim, 1.0, f"coherent alpha={alpha}"
+    )
+
+
 def cat_state(alpha: complex, dim: int) -> np.ndarray:
     """Normalized superposition of |alpha> and |-alpha>."""
-    plus = coherent_amplitudes(alpha, dim)
-    minus = coherent_amplitudes(-alpha, dim)
-    psi = plus + minus
-    norm2 = float(np.sum(np.abs(psi) ** 2))
-    # Exact (untruncated) norm of |a> + |-a| is 2(1 + exp(-2|a|^2)).
+    # Exact (untruncated) norm of |a> + |-a> is 2(1 + exp(-2|a|^2)).
     exact_norm2 = 2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))
-    tail = max(0.0, 1.0 - norm2 / exact_norm2)
-
-    def tail_of(d: int) -> float:
-        amps = coherent_amplitudes(alpha, d) + coherent_amplitudes(-alpha, d)
-        return max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)) / exact_norm2)
-
-    _check_tail(tail, dim, tail_of, f"cat alpha={alpha}")
-    psi = psi / math.sqrt(norm2)
-    return np.outer(psi, psi.conj())
+    return _pure_state(
+        lambda d: coherent_amplitudes(alpha, d) + coherent_amplitudes(-alpha, d),
+        dim,
+        exact_norm2,
+        f"cat alpha={alpha}",
+    )
 
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
@@ -263,16 +266,7 @@ def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
 
 
 def squeezed_state(r: float, dim: int) -> np.ndarray:
-    amps = squeezed_amplitudes(r, dim)
-    norm2 = float(np.sum(np.abs(amps) ** 2))
-    tail = 1.0 - norm2
-
-    def tail_of(d: int) -> float:
-        return 1.0 - float(np.sum(np.abs(squeezed_amplitudes(r, d)) ** 2))
-
-    _check_tail(tail, dim, tail_of, f"squeezed r={r}")
-    psi = amps / math.sqrt(norm2)
-    return np.outer(psi, psi.conj())
+    return _pure_state(lambda d: squeezed_amplitudes(r, d), dim, 1.0, f"squeezed r={r}")
 
 
 _STATE_BUILDERS = {

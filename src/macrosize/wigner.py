@@ -145,14 +145,19 @@ def _parse_axis(line: str, name: str):
         count = int(parts[3])
     except ValueError as exc:
         raise GridHeaderError(f"unparseable axis line {line!r}") from exc
+    if not math.isfinite(hi - lo):
+        raise GridHeaderError(f"non-finite axis {line!r}")
     if count < 2 or hi <= lo:
         raise GridHeaderError(f"degenerate axis {line!r}")
     return lo, hi, count
 
 
 def load_grid(path) -> WignerGrid:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise GridHeaderError(f"grid file is not UTF-8 text: {exc}") from exc
     if not lines or lines[0] != HEADER:
         raise GridHeaderError(
             f"missing/unknown header; expected {HEADER!r}, "
@@ -176,7 +181,8 @@ def load_grid(path) -> WignerGrid:
     rows = lines[data_start:]
     if len(rows) != p_count:
         raise GridAxisError(f"expected {p_count} data rows, found {len(rows)}")
-    values = np.empty((p_count, x_count), dtype=float)
+    # Rows are checked before any array is sized from the header's counts.
+    values = []
     for i, row in enumerate(rows):
         fields = row.split()
         if len(fields) != x_count:
@@ -184,10 +190,11 @@ def load_grid(path) -> WignerGrid:
                 f"row {i} has {len(fields)} columns, expected {x_count}"
             )
         try:
-            values[i] = [float(f) for f in fields]
+            values.append([float(f) for f in fields])
         except ValueError as exc:
             raise GridValueError(f"unparseable value in data row {i}") from exc
-    return WignerGrid(x_min, x_max, x_count, p_min, p_max, p_count, values * scale)
+    values = np.array(values) * scale
+    return WignerGrid(x_min, x_max, x_count, p_min, p_max, p_count, values)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,6 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
         raise DomainError(f"reconstruction dim must be in [2, {DIM_CAP}], got {dim}")
     while True:
         raw = _overlap_reconstruct(grid, dim)
-        raw = 0.5 * (raw + raw.conj().T)
         # Weight outside the basis: a normalized grid carries unit trace, so
         # the raw overlap trace measures how much of the state fits in dim.
         tail = max(0.0, 1.0 - float(np.real(np.trace(raw))))

@@ -317,6 +317,66 @@ def test_oscillator_missing_dimension_key(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# config value kinds
+# ---------------------------------------------------------------------------
+
+NON_UTF8 = b'{"system": "ghz", "n": 3, "q": 0.5, "note": "\xe9"}'
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("measure", {"system": ["ghz"], "n": 3, "q": 0.5}, "system"),
+        ("measure", {"system": "fock", "kind": ["cat"], "dim": 20, "alpha": 1.0}, "kind"),
+        ("measure", {"system": "fock", "kind": "number", "dim": 10, "n": 2.7}, "n"),
+        ("measure", {"system": "ghz", "n": 3.5, "q": 0.5}, "n"),
+        ("measure", {"system": "fock", "kind": "vacuum", "dim": 12.9}, "dim"),
+        ("oscillator", dict(TEUFEL_GEOMETRY, shape=["circular-drum"]), "shape"),
+        ("oscillator", dict(TEUFEL_GEOMETRY, mode=[[1.0]]), "mode"),
+        ("oscillator", dict(TEUFEL_GEOMETRY, mode={"a": 1}), "mode"),
+        ("measure", NON_UTF8, None),
+    ],
+    ids=[
+        "list-system",
+        "list-kind",
+        "fractional-fock-n",
+        "fractional-ghz-n",
+        "fractional-dim",
+        "list-shape",
+        "list-mode",
+        "dict-mode",
+        "non-utf8",
+    ],
+)
+def test_config_type_errors_exit_2(tmp_path, capsys, command, doc, key):
+    path = tmp_path / "bad.json"
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        write_json(path, doc)
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if key is None:
+        assert "cannot read config" in err
+    else:
+        assert err.startswith(f"error: {key} must be a ")
+
+
+def test_measure_whole_number_floats_run(tmp_path, capsys):
+    as_ints = write_json(
+        tmp_path / "ints.json", {"system": "fock", "kind": "number", "dim": 12, "n": 2}
+    )
+    as_floats = write_json(
+        tmp_path / "floats.json", {"system": "fock", "kind": "number", "dim": 12.0, "n": 2.0}
+    )
+    code, out, _err = run_cli(["measure", as_floats], capsys)
+    assert code == 0
+    assert (code, out) == run_cli(["measure", as_ints], capsys)[:2]
+
+
+# ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 

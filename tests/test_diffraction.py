@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from macrosize import diffraction, fisher, quantum
@@ -103,6 +107,48 @@ def test_scan_file_rejects_bad_header(tmp_path):
     path.write_text("fringes\n0 1\n", encoding="utf-8")
     with pytest.raises(DomainError, match="header"):
         load_fringe_scan(path)
+
+
+def test_scan_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("fringe-scan v1\n0 1 \xe9\n".encode("latin-1"))
+    with pytest.raises(DomainError, match="UTF-8"):
+        load_fringe_scan(path)
+
+
+def test_scan_file_rejects_header_only(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("fringe-scan v1\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="no 's n' lines"):
+        load_fringe_scan(path)
+
+
+SCAN_TOKENS = ["0", "1", "-1", "1e-7", "140", "0.5", "nan", "inf", "-inf", "1e308", "1e400",
+               "two", ""]
+
+
+def _scan_text():
+    tokens = st.sampled_from(SCAN_TOKENS)
+    pair = st.tuples(tokens, tokens).map(" ".join)
+    token_line = st.lists(tokens, max_size=3).map(" ".join)
+    line = st.one_of(pair, token_line, st.text(max_size=20))
+    return st.lists(line, max_size=12).map(
+        lambda lines: "\n".join(["fringe-scan v1", *lines]).encode("utf-8")
+    )
+
+
+@given(st.one_of(st.binary(max_size=120), _scan_text()))
+@settings(max_examples=400, deadline=None)
+def test_load_fringe_scan_fuzz(content):
+    # Any file either loads or raises a DomainError, never anything else.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_bytes(content)
+        try:
+            scan = load_fringe_scan(path)
+        except DomainError:
+            return
+    assert isinstance(scan, FringeScan)
 
 
 def test_scan_rejects_non_finite_positions():

@@ -54,26 +54,6 @@ def test_variance_thermal():
         assert fisher.variance(rho, x) == pytest.approx(0.5 * (2 * nbar + 1), rel=1e-9)
 
 
-def test_covariance_ghz_pair():
-    # Joint distribution of (z1, z2) in GHZ(q=1/2): ++ and -- each with 1/2.
-    rho, obs = quantum.ghz_state(3, 0.5)
-    z1, z2 = obs.locals_[0], obs.locals_[1]
-    assert fisher.covariance(rho, z1, z2) == pytest.approx(1.0, rel=1e-12)
-    assert fisher.covariance(rho, z1, z1) == pytest.approx(
-        fisher.variance(rho, z1), rel=1e-12
-    )
-
-
-def test_covariance_cauchy_schwarz(rng):
-    for _ in range(20):
-        rho = random_density(rng, 5)
-        a = random_hermitian(rng, 5)
-        b = random_hermitian(rng, 5)
-        cov = fisher.covariance(rho, a, b)
-        bound = math.sqrt(fisher.variance(rho, a) * fisher.variance(rho, b))
-        assert abs(cov) <= bound + 1e-10
-
-
 def test_f2_pure_equals_qfi():
     assert fisher.sub_qfi_f2(PLUS, SIGMA_Z).value == pytest.approx(4.0, rel=1e-12)
 

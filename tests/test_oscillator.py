@@ -50,23 +50,6 @@ def test_uniform_mode_full_volume():
     assert mode.mode_mass == pytest.approx(geom.total_mass, rel=1e-12)
 
 
-def test_custom_grid_mode_matches_square_closed_form():
-    side, thickness = 1.0e-3, 50e-9
-    geom = square_drum(side, thickness, density=3.17e3, mean_atomic_mass=20.0 * C.m_u)
-    n = 201
-    xs = np.linspace(0, side, n)
-    w = np.outer(np.sin(np.pi * xs / side), np.sin(np.pi * xs / side))
-    mode = mode_volume(geom, w, grid_spacing=(xs[1] - xs[0], xs[1] - xs[0]))
-    assert mode.mode_volume == pytest.approx(0.25 * geom.volume, rel=1e-5)
-
-
-def test_custom_grid_requires_unit_peak():
-    geom = square_drum(1e-3, 50e-9, density=3.17e3, mean_atomic_mass=20.0 * C.m_u)
-    w = 0.5 * np.ones((11, 11))
-    with pytest.raises(DomainError, match="unit peak"):
-        mode_volume(geom, w, grid_spacing=(1e-4, 1e-4))
-
-
 def test_mode_mass_never_exceeds_total():
     for geom in (
         circular_drum(7.5e-6, 100e-9, **TEUFEL),

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from macrosize.wigner import (
     GridHeaderError,
     GridValueError,
     ReconstructionError,
+    WignerFormatError,
     WignerGrid,
     load_grid,
     qfi_from_grid,
@@ -129,6 +132,55 @@ def test_load_errors_are_distinct(tmp_path):
     garbage.write_text("wigner-grid v1\nx -1 1 2\np -1 1 2\n1 two\n3 4\n", encoding="utf-8")
     with pytest.raises(GridValueError):
         load_grid(garbage)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.wig"
+    path.write_bytes("wigner-grid v1\nx -1 1 2\np -1 1 2\n1 2\n3 4 \xe9\n".encode("latin-1"))
+    with pytest.raises(GridHeaderError, match="UTF-8"):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("axis", ["x nan 6 41", "x -6 inf 41", "x -inf 6 41", "x -1e308 1e308 41"])
+def test_load_rejects_non_finite_axis(tmp_path, axis):
+    path = tmp_path / "axis.wig"
+    path.write_text(f"wigner-grid v1\n{axis}\np -6 6 2\n", encoding="utf-8")
+    with pytest.raises(GridHeaderError, match="non-finite axis"):
+        load_grid(path)
+
+
+def test_load_checks_rows_before_sizing_from_header(tmp_path):
+    # A huge header count must not size an array before the rows are checked.
+    path = tmp_path / "wide.wig"
+    path.write_text("wigner-grid v1\nx 0 1 100000000000000\np 0 1 2\n1 2\n3 4\n")
+    with pytest.raises(GridAxisError, match="columns"):
+        load_grid(path)
+
+
+GRID_TOKENS = ["x", "p", "scale", "0", "1", "-1", "2", "3", "0.5", "nan", "inf", "-inf",
+               "1e308", "-1e308", "1e400", "two", "1_0", ""]
+
+
+def _grid_text():
+    token_line = st.lists(st.sampled_from(GRID_TOKENS), max_size=5).map(" ".join)
+    line = st.one_of(token_line, st.text(max_size=20))
+    return st.lists(line, max_size=7).map(
+        lambda lines: "\n".join(["wigner-grid v1", *lines]).encode("utf-8")
+    )
+
+
+@given(st.one_of(st.binary(max_size=120), _grid_text()))
+@settings(max_examples=400, deadline=None)
+def test_load_grid_fuzz(content):
+    # Any file either loads or raises a WignerFormatError, never anything else.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.wig"
+        path.write_bytes(content)
+        try:
+            grid = load_grid(path)
+        except WignerFormatError:
+            return
+    assert isinstance(grid, WignerGrid)
 
 
 def test_reconstruct_vacuum():
