@@ -267,8 +267,8 @@ def cmd_measure(args, out: Output) -> int:
     cfg = parse_config(doc, MEASURE_SCHEMAS[system])
 
     if system == "ghz":
-        rho, observable = quantum.ghz_state(cfg["n"], cfg["q"], cfg.get("phase", 0.0))
-        report = measures.size_report_for_state(rho, observable)
+        psi, observable = quantum.ghz_vector(cfg["n"], cfg["q"], cfg.get("phase", 0.0))
+        report = measures.size_report_for_state(psi, observable)
         out.add("n_ext", report.n_ext)
         out.add("n_ent", report.n_ent)
         out.add("witness_depth", report.witness_depth)

@@ -80,7 +80,12 @@ class FringeScan:
     @classmethod
     def from_raw(cls, positions, raw_counts) -> "FringeScan":
         raw = np.asarray(raw_counts, dtype=float)
-        mean = float(np.mean(raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(raw))
+        if not math.isfinite(mean) and raw.size and np.all(np.isfinite(raw)):
+            # The sum of finite counts overflowed: scale by the peak first.
+            raw = raw / np.max(np.abs(raw))
+            mean = float(np.mean(raw))
         if mean <= 0:
             raise DomainError("raw counts must have positive mean")
         return cls(np.asarray(positions, dtype=float), raw / mean)

@@ -67,10 +67,12 @@ def extensive_size(qfi_value: float, unit: float) -> float:
 class PartitionedObservable:
     """An extensive observable ``total`` together with its local addends.
 
-    Build it with ``from_locals``, the one check of a partition: every local
-    is a square Hermitian matrix, all locals share one shape, and ``total``
-    is their sum.  Functions that take a partition rely on these invariants
-    and do not check them again.
+    Build it with ``from_locals``, the one check of a partition.  A local is
+    either a square Hermitian matrix or a 1-D real, finite array: the
+    diagonal of an observable that is diagonal in the computational basis.
+    All locals share one shape, so a partition is wholly dense or wholly
+    diagonal, and ``total`` is their sum.  Functions that take a partition
+    rely on these invariants and do not check them again.
     """
 
     total: np.ndarray
@@ -79,13 +81,32 @@ class PartitionedObservable:
 
     @classmethod
     def from_locals(cls, locals_: Sequence[np.ndarray], label: str = ""):
-        locals_ = tuple(quantum.require_hermitian(a, "local observable") for a in locals_)
+        locals_ = tuple(_checked_local(a) for a in locals_)
         if not locals_:
             raise DomainError("partition needs at least one local observable")
         shapes = sorted({a.shape for a in locals_})
         if len(shapes) > 1:
             raise DomainError(f"local observables differ in shape: {shapes}")
-        return cls(total=np.sum(locals_, axis=0), locals_=locals_, partition_label=label)
+        # A running sum, not np.sum of the stacked locals, which would hold a
+        # second copy of all of them; both add in the same order.
+        total = locals_[0].copy()
+        for a in locals_[1:]:
+            total += a
+        return cls(total=total, locals_=locals_, partition_label=label)
+
+    @property
+    def diagonal(self) -> bool:
+        """True when the locals are 1-D diagonals rather than matrices."""
+        return self.total.ndim == 1
+
+
+def _checked_local(local: np.ndarray) -> np.ndarray:
+    local = np.asarray(local)
+    if local.ndim != 1:
+        return quantum.require_hermitian(local, "local observable")
+    if np.iscomplexobj(local) or not np.all(np.isfinite(local)):
+        raise DomainError("a diagonal local observable must be real and finite")
+    return local.astype(float, copy=False)
 
 
 def witness_depth(n_ent: float) -> int:
@@ -114,19 +135,51 @@ class SizeReport:
         return witness_depth(self.n_ent)
 
 
-def _qfi_and_variances(rho: np.ndarray, observable: PartitionedObservable):
-    """QFI of the total and the local variances, from one density check.
+def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
+    """QFI of the total and the local variances, from one check of the state.
 
-    ``fisher.qfi`` validates ``rho`` and its dimension against the total; the
-    locals share that shape, so their variances need no second check.
+    ``state`` is a density matrix or, if 1-D, a pure state vector.  A vector
+    is checked here; a density matrix is checked by ``fisher.qfi``, and the
+    locals share the total's shape, so their variances need no second check.
+    A vector with diagonal locals needs only its populations p = |psi|^2:
+    Var(a) = sum p (a - <a>)^2, and the QFI of a pure state is 4 Var(total).
+    Any other pair takes the dense path, with a vector expanded to
+    |psi><psi| and diagonals to matrices.
     """
-    total_qfi = fisher.qfi(rho, observable.total).value
-    rho = np.asarray(rho, dtype=complex)
-    return total_qfi, [fisher._variance(rho, a) for a in observable.locals_]
+    state = np.asarray(state)
+    if state.ndim == 1:
+        populations = quantum.populations(state)
+        if state.shape[0] != observable.total.shape[0]:
+            raise DomainError(
+                f"dimension mismatch: state {state.shape} vs observable "
+                f"{observable.total.shape}"
+            )
+        if observable.diagonal:
+            return _diagonal_qfi_and_variances(populations, observable)
+        state = np.outer(state, state.conj())
+    total, locals_ = observable.total, observable.locals_
+    if observable.diagonal:
+        total = np.diag(total).astype(complex)
+        locals_ = [np.diag(a).astype(complex) for a in locals_]
+    total_qfi = fisher.qfi(state, total).value
+    rho = np.asarray(state, dtype=complex)
+    return total_qfi, [fisher._variance(rho, a) for a in locals_]
+
+
+def _diagonal_qfi_and_variances(p: np.ndarray, observable: PartitionedObservable):
+    """4 Var(total) and the local variances of diagonal observables under p."""
+
+    def variance(a):
+        return float(np.dot(p, (a - np.dot(p, a)) ** 2))
+
+    return 4.0 * variance(observable.total), [variance(a) for a in observable.locals_]
 
 
 def entangled_size(rho: np.ndarray, observable: PartitionedObservable) -> float:
-    """N_ent = F(rho, A) / (4 sum_i Var(rho, A_i)) for a partitioned observable."""
+    """N_ent = F(rho, A) / (4 sum_i Var(rho, A_i)) for a partitioned observable.
+
+    ``rho`` is a density matrix or a pure state vector.
+    """
     return entangled_size_from_values(*_qfi_and_variances(rho, observable))
 
 
@@ -169,7 +222,8 @@ def size_report_for_state(
 ) -> SizeReport:
     """Compute both measures for an explicit state and partitioned observable.
 
-    The extensive size is in units of the observable itself (A0 = 1).
+    ``rho`` is a density matrix or a pure state vector.  The extensive size
+    is in units of the observable itself (A0 = 1).
     """
     total_qfi, local_vars = _qfi_and_variances(rho, observable)
     n_ext = extensive_size(total_qfi, 1.0)

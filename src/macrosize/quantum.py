@@ -1,9 +1,13 @@
-"""Dense complex-Hermitian operator algebra and Fock-space state constructors.
+"""Complex-Hermitian operator algebra, Fock-space and qubit-register states.
 
-Everything here works on plain ``numpy`` arrays: operators are ``(d, d)``
-complex matrices, density matrices additionally satisfy Hermiticity,
-unit trace and positivity (see :func:`validate_density`).  All functions
-are pure; arrays are never mutated in place.
+Everything here works on plain ``numpy`` arrays.  On the dense path
+operators are ``(d, d)`` complex matrices, and density matrices
+additionally satisfy Hermiticity, unit trace and positivity (see
+:func:`validate_density`).  Pure qubit registers also have a structured
+path: a 1-D state vector with real 1-D diagonals for observables that are
+diagonal in the computational basis (see :func:`ghz_vector`), which costs
+O(2**n) per observable instead of O(4**n) storage and O(8**n) algebra.
+All functions are pure; arrays are never mutated in place.
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
 
-# Dense storage only; all computations in this package need at most a few
-# hundred Fock levels or <= 2**12 qubit dimensions.
+# Dense matrices need at most a few hundred Fock levels or <= 2**12 qubit
+# dimensions (GHZ_DENSE_MAX_QUBITS).  State-vector registers with diagonal
+# observables store O(n 2**n) floats and go to GHZ_VECTOR_MAX_QUBITS.
 DIM_CAP = 4096
+GHZ_DENSE_MAX_QUBITS = 12
+GHZ_VECTOR_MAX_QUBITS = 20
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
@@ -89,6 +96,20 @@ def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     if min_eig < EIG_FLOOR:
         raise DomainError(f"{name} has negative eigenvalue {min_eig:.3e}")
     return rho
+
+
+def populations(psi: np.ndarray) -> np.ndarray:
+    """Populations |psi_i|^2 of a pure state vector with unit norm.
+
+    Raises :class:`DomainError` when the norm squared is not 1 within
+    TRACE_ATOL, which includes every vector with a non-finite amplitude.
+    """
+    psi = np.asarray(psi)
+    p = psi.real**2 + psi.imag**2
+    norm2 = float(np.sum(p))
+    if not abs(norm2 - 1.0) <= TRACE_ATOL:
+        raise DomainError(f"state vector has norm^2 {norm2!r}, expected 1 within {TRACE_ATOL}")
+    return p
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -302,22 +323,25 @@ def make_state(kind: str, dim: int, **params) -> np.ndarray:
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
-def ghz_state(n: int, q: float, phase: float = 0.0):
-    """GHZ-form state sqrt(1-q)|0...0> + sqrt(q) e^{i phi}|1...1>.
+def ghz_vector(n: int, q: float, phase: float = 0.0):
+    """GHZ-form state vector sqrt(1-q)|0...0> + sqrt(q) e^{i phase}|1...1>.
 
-    Returns ``(rho, observable)`` where ``observable`` is the collective
-    sigma_z partitioned into its single-qubit addends (one per site).
+    Returns ``(psi, observable)``: the complex 2**n amplitudes and the
+    collective sigma_z partitioned into one real diagonal per site,
+    ``1 - 2 b_i`` for the bit b_i of site i.  Site 0 is the most significant
+    bit, the Kronecker order of :func:`qubit_site_operator`.
     """
     from .measures import PartitionedObservable
 
     if n < 1:
         raise DomainError(f"subsystem count must be >= 1, got {n}")
-    if n > 12:
-        # rho, the n local sigma_z and their sum, 16 B per complex entry.
-        bytes_needed = (n + 2) * 16 * 4**n
+    if n > GHZ_VECTOR_MAX_QUBITS:
+        # psi at 16 B and the n local diagonals plus their sum at 8 B per entry.
+        bytes_needed = (16 + 8 * (n + 1)) * 2**n
         raise DomainError(
-            f"n={n} qubits needs {n + 2} dense {2**n}x{2**n} matrices "
-            f"(~{bytes_needed / 1e9:.1f} GB); capped at n=12"
+            f"n={n} qubits needs a {2**n}-entry state vector and {n + 1} "
+            f"diagonals (~{bytes_needed / 1e9:.1f} GB); "
+            f"capped at n={GHZ_VECTOR_MAX_QUBITS}"
         )
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"weight q must lie in [0, 1], got {q}")
@@ -327,10 +351,28 @@ def ghz_state(n: int, q: float, phase: float = 0.0):
     # At q = 1 the phase is global, and |e^{i phase}|^2 may round below 1,
     # which would leave rounding-level local variances instead of zeros.
     psi[-1] = math.sqrt(q) * np.exp(1j * phase) if q < 1.0 else 1.0
-    rho = np.outer(psi, psi.conj())
-    locals_ = [qubit_site_operator(SIGMA_Z, i, n) for i in range(n)]
-    observable = PartitionedObservable.from_locals(locals_, label="qubits")
-    return rho, observable
+    # Site i's bit alternates in runs of 2**(n-1-i) basis states.
+    locals_ = [
+        np.tile(np.repeat([1.0, -1.0], 2 ** (n - 1 - site)), 2**site)
+        for site in range(n)
+    ]
+    return psi, PartitionedObservable.from_locals(locals_, label="qubits")
+
+
+def ghz_state(n: int, q: float, phase: float = 0.0):
+    """Density matrix |psi><psi| of :func:`ghz_vector`, for the dense path.
+
+    Returns ``(rho, observable)`` with the same diagonal observable as
+    :func:`ghz_vector`.
+    """
+    if n > GHZ_DENSE_MAX_QUBITS:
+        bytes_needed = 16 * 4**n
+        raise DomainError(
+            f"n={n} qubits needs a dense {2**n}x{2**n} density matrix "
+            f"(~{bytes_needed / 1e9:.1f} GB); capped at n={GHZ_DENSE_MAX_QUBITS}"
+        )
+    psi, observable = ghz_vector(n, q, phase)
+    return np.outer(psi, psi.conj()), observable
 
 
 def qubit_site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:

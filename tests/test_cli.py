@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import macrosize
 from macrosize import quantum, wigner
 from macrosize.cli import main
 
@@ -45,6 +47,24 @@ def test_measure_ghz_witness_depth_near_product_state(tmp_path, capsys):
     assert code == 0
     lines = dict(l.split()[:2] for l in out.splitlines() if not l.startswith("#"))
     assert lines["witness_depth"] == "5"
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_measure_ghz_large_registers(tmp_path, capsys, n):
+    cfg = write_json(tmp_path / "ghz.json", {"system": "ghz", "n": n, "q": 0.3, "phase": 0.4})
+    code, out, _err = run_cli(["--format", "json", "measure", cfg], capsys)
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values["witness_depth"] == n
+    assert values["n_ext"] == pytest.approx(4.0 * n * n * 0.3 * 0.7, rel=1e-9)
+
+
+def test_measure_ghz_rejects_register_above_cap(tmp_path, capsys):
+    cfg = write_json(tmp_path / "ghz.json", {"system": "ghz", "n": 21, "q": 0.5})
+    code, out, err = run_cli(["measure", cfg], capsys)
+    assert code == 3
+    assert out == ""
+    assert "needs a 2097152-entry state vector and 22 diagonals (~0.4 GB)" in err
 
 
 def test_measure_oscillator_teufel(tmp_path, capsys):
@@ -431,10 +451,15 @@ def test_json_format(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # The subprocess imports the same macrosize sources as this test.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macrosize.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "macrosize.cli", "catalog", "--what", "flux"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "n_ext_momentum" in proc.stdout

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,22 @@ def test_scan_file_roundtrip(tmp_path):
     assert np.mean(scan.counts) == pytest.approx(1.0, abs=1e-12)
     fit = fit_fringe(scan)
     assert fit.visibility == pytest.approx(0.25, abs=1e-3)
+
+
+def test_scan_file_normalizes_counts_whose_sum_overflows(tmp_path):
+    path = tmp_path / "huge.txt"
+    lines = ["fringe-scan v1"] + [f"{i * 1e-8:.1e} 1e308" for i in range(10)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = load_fringe_scan(path)
+    assert np.array_equal(scan.counts, np.ones(10))
+
+
+def test_from_raw_keeps_counts_with_finite_mean(rng):
+    raw = rng.uniform(1.0, 1e6, size=50)
+    scan = FringeScan.from_raw(np.arange(50.0), raw)
+    assert np.array_equal(scan.counts, raw / float(np.mean(raw)))
 
 
 def test_scan_file_rejects_bad_header(tmp_path):

@@ -22,7 +22,7 @@ def test_qfi_pure_plus_state():
 
 def test_qfi_ghz_three_qubits():
     rho, obs = quantum.ghz_state(3, 0.5)
-    assert fisher.qfi(rho, obs.total).value == pytest.approx(36.0, rel=1e-10)
+    assert fisher.qfi(rho, np.diag(obs.total)).value == pytest.approx(36.0, rel=1e-10)
 
 
 def test_qfi_thermal_closed_form():

@@ -94,10 +94,12 @@ def test_entangled_size_incoherent_local_diagnostic():
 
 
 def test_from_locals_rejects_mismatched_shapes():
-    with pytest.raises(DomainError, match="differ in shape"):
-        measures.PartitionedObservable.from_locals(
-            [np.eye(2, dtype=complex), np.eye(4, dtype=complex)]
-        )
+    for locals_ in (
+        [np.eye(2, dtype=complex), np.eye(4, dtype=complex)],
+        [np.array([1.0, -1.0]), quantum.SIGMA_Z],
+    ):
+        with pytest.raises(DomainError, match="differ in shape"):
+            measures.PartitionedObservable.from_locals(locals_)
 
 
 def test_from_locals_rejects_non_hermitian_local():
@@ -106,11 +108,20 @@ def test_from_locals_rejects_non_hermitian_local():
         measures.PartitionedObservable.from_locals([quantum.SIGMA_Z, raising])
 
 
+def _sigma_z_partition(n):
+    """The collective sigma_z of n qubits as dense qubit_site_operator locals."""
+    locals_ = [quantum.qubit_site_operator(quantum.SIGMA_Z, i, n) for i in range(n)]
+    return measures.PartitionedObservable.from_locals(locals_, f"{n} qubits")
+
+
 def _assert_report_is_the_composition(rho, obs):
     """The report equals fisher.qfi of the total and fisher.variance of each local."""
     report = measures.size_report_for_state(rho, obs)
-    total_qfi = fisher.qfi(rho, obs.total).value
-    local_vars = [fisher.variance(rho, a) for a in obs.locals_]
+    total, locals_ = obs.total, obs.locals_
+    if obs.diagonal:
+        total, locals_ = np.diag(total), [np.diag(a) for a in locals_]
+    total_qfi = fisher.qfi(rho, total).value
+    local_vars = [fisher.variance(rho, a) for a in locals_]
     assert report.inputs["qfi"] == total_qfi
     assert report.n_ext == measures.extensive_size(total_qfi, 1.0)
     assert report.n_ent == measures.entangled_size_from_values(total_qfi, local_vars)
@@ -120,35 +131,129 @@ def _assert_report_is_the_composition(rho, obs):
 def test_size_report_is_qfi_and_variance_composition(rng):
     for n in range(2, 10):
         _assert_report_is_the_composition(*quantum.ghz_state(n, 0.3, phase=0.4))
-    obs = _random_qubit_partition(rng, 3)
+    obs = _sigma_z_partition(3)
     for _ in range(20):
         _assert_report_is_the_composition(random_density(rng, 8), obs)
 
 
-def test_size_report_checks_the_state_once(monkeypatch):
-    rho, obs = quantum.ghz_state(6, 0.3, phase=0.4)
-    validated, qfi_operators, summed = [], [], []
-    validate_density, qfi, np_sum = quantum.validate_density, fisher.qfi, np.sum
+def _record_state_checks(monkeypatch):
+    """Record every density check, vector check, fisher.qfi operator and np.sum input."""
+    calls = {"validated": [], "populations": [], "qfi_operators": [], "summed": []}
+    validate_density, populations = quantum.validate_density, quantum.populations
+    qfi, np_sum = fisher.qfi, np.sum
 
     def counting_validate(state, *args, **kwargs):
-        validated.append(state)
+        calls["validated"].append(state)
         return validate_density(state, *args, **kwargs)
 
+    def counting_populations(psi, *args, **kwargs):
+        calls["populations"].append(psi)
+        return populations(psi, *args, **kwargs)
+
     def recording_qfi(state, operator):
-        qfi_operators.append(operator)
+        calls["qfi_operators"].append(operator)
         return qfi(state, operator)
 
     def recording_sum(a, *args, **kwargs):
-        summed.append(a)
+        calls["summed"].append(a)
         return np_sum(a, *args, **kwargs)
 
     monkeypatch.setattr(quantum, "validate_density", counting_validate)
+    monkeypatch.setattr(quantum, "populations", counting_populations)
     monkeypatch.setattr(fisher, "qfi", recording_qfi)
     monkeypatch.setattr(np, "sum", recording_sum)
+    return calls
+
+
+def test_size_report_checks_the_state_once(monkeypatch):
+    rho, _ = quantum.ghz_state(6, 0.3, phase=0.4)
+    obs = _sigma_z_partition(6)
+    calls = _record_state_checks(monkeypatch)
     measures.size_report_for_state(rho, obs)
-    assert len(validated) == 1
-    assert len(qfi_operators) == 1 and qfi_operators[0] is obs.total
-    assert not any(a is obs.locals_ for a in summed)
+    assert len(calls["validated"]) == 1 and not calls["populations"]
+    assert len(calls["qfi_operators"]) == 1 and calls["qfi_operators"][0] is obs.total
+    assert not any(a is obs.locals_ for a in calls["summed"])
+
+    # A state vector with diagonal locals: one norm check, no density check.
+    monkeypatch.undo()
+    psi, obs = quantum.ghz_vector(6, 0.3, phase=0.4)
+    calls = _record_state_checks(monkeypatch)
+    measures.size_report_for_state(psi, obs)
+    assert len(calls["populations"]) == 1 and calls["populations"][0] is psi
+    assert not calls["validated"] and not calls["qfi_operators"]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_structured_report_matches_dense(n):
+    dense = _sigma_z_partition(n)
+    for q in (1e-12, 1e-9, 0.3, 0.5, 1.0 - 1e-9):
+        psi, obs = quantum.ghz_vector(n, q, phase=0.7)
+        fast = measures.size_report_for_state(psi, obs)
+        slow = measures.size_report_for_state(np.outer(psi, psi.conj()), dense)
+        assert fast.n_ext == pytest.approx(slow.n_ext, rel=1e-12, abs=0.0)
+        assert fast.n_ent == pytest.approx(slow.n_ent, rel=1e-12, abs=0.0)
+        assert fast.witness_depth == slow.witness_depth == n
+
+
+@pytest.mark.parametrize("n", range(1, quantum.GHZ_VECTOR_MAX_QUBITS + 1))
+@given(
+    q=st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+    phase=st.floats(min_value=-100.0, max_value=100.0),
+)
+@settings(max_examples=4, deadline=None)
+def test_ghz_vector_saturates_the_partition(n, q, phase):
+    report = measures.size_report_for_state(*quantum.ghz_vector(n, q, phase))
+    assert report.n_ent == pytest.approx(n, abs=1e-9)
+    assert report.n_ext == pytest.approx(4.0 * n * n * q * (1.0 - q), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_ghz_product_ends_are_incoherent_local_on_both_paths(n, q):
+    psi, obs = quantum.ghz_vector(n, q, phase=0.7)
+    states = [
+        (psi, obs),
+        (np.outer(psi, psi.conj()), obs),
+        (np.outer(psi, psi.conj()), _sigma_z_partition(n)),
+    ]
+    for state, partition in states:
+        with pytest.raises(DomainError, match="incoherent-local"):
+            measures.size_report_for_state(state, partition)
+
+
+def test_state_vector_is_checked_at_the_boundary():
+    psi, obs = quantum.ghz_vector(3, 0.5)
+    bad_vectors = {
+        "norm": 1.1 * psi,
+        "nan": np.where(psi != 0, np.nan, psi),
+        "inf": np.where(psi != 0, np.inf, psi),
+    }
+    for bad in bad_vectors.values():
+        with pytest.raises(DomainError, match=r"state vector has norm\^2"):
+            measures.size_report_for_state(bad, obs)
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        measures.size_report_for_state(psi, quantum.ghz_vector(2, 0.5)[1])
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        measures.size_report_for_state(psi, _sigma_z_partition(2))
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [np.array([1.0, np.nan]), np.array([np.inf, -1.0]), np.array([1.0, -1.0], dtype=complex)],
+    ids=["nan", "inf", "complex"],
+)
+def test_from_locals_rejects_bad_diagonal(diagonal):
+    with pytest.raises(DomainError, match="diagonal local observable must be real and finite"):
+        measures.PartitionedObservable.from_locals([np.array([1.0, -1.0]), diagonal])
+
+
+def test_state_vector_with_dense_locals_matches_density_matrix(rng):
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    psi /= np.linalg.norm(psi)
+    obs = _sigma_z_partition(3)
+    from_vector = measures.size_report_for_state(psi, obs)
+    from_rho = measures.size_report_for_state(np.outer(psi, psi.conj()), obs)
+    assert from_vector == from_rho
 
 
 @given(
@@ -232,16 +337,10 @@ def test_two_branch_matches_explicit_gaussian_branches():
 # ---------------------------------------------------------------------------
 
 
-def _random_qubit_partition(rng, n):
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    locals_ = [quantum.qubit_site_operator(sz, i, n) for i in range(n)]
-    return measures.PartitionedObservable.from_locals(locals_, f"{n} qubits")
-
-
 def test_property_max_size(rng):
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        obs = _random_qubit_partition(rng, n)
+        obs = _sigma_z_partition(n)
         rho = random_density(rng, 2**n)
         assert measures.entangled_size(rho, obs) <= n + 1e-9
 
@@ -251,7 +350,7 @@ def test_property_ghz_is_the_saturator(rng):
     for q in (0.2, 0.5, 0.9):
         rho, obs = quantum.ghz_state(3, q, phase=0.7)
         assert measures.entangled_size(rho, obs) == pytest.approx(3.0, abs=1e-9)
-    obs = _random_qubit_partition(rng, 3)
+    obs = _sigma_z_partition(3)
     for _ in range(20):
         rho = random_density(rng, 8, rank=2)
         assert measures.entangled_size(rho, obs) < 3.0 - 1e-6
@@ -263,7 +362,7 @@ def test_property_independent_systems(rng):
     for _ in range(20):
         rho_a = random_density(rng, 4)
         rho_b = random_density(rng, 2)
-        obs_a = _random_qubit_partition(rng, 2)
+        obs_a = _sigma_z_partition(2)
         joint = quantum.tensor(rho_a, rho_b)
         locals_ = [quantum.tensor(a, eye2) for a in obs_a.locals_]
         locals_.append(quantum.tensor(np.eye(4, dtype=complex), sz))
@@ -275,7 +374,7 @@ def test_property_independent_systems(rng):
 
 
 def test_property_classical_mixtures(rng):
-    obs = _random_qubit_partition(rng, 3)
+    obs = _sigma_z_partition(3)
     for _ in range(20):
         rho = random_density(rng, 8)
         sigma = random_density(rng, 8)
@@ -306,7 +405,7 @@ def test_property_k_producible_bound(rng):
     for k, block_sets in layouts.items():
         for blocks in block_sets:
             n = sum(blocks)
-            obs = _random_qubit_partition(rng, n)
+            obs = _sigma_z_partition(n)
             rho = quantum.mix(
                 0.5,
                 _k_producible_state(rng, blocks),

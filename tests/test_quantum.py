@@ -153,25 +153,67 @@ def test_ghz_qfi_value():
     from macrosize.fisher import qfi
 
     rho, obs = quantum.ghz_state(3, 0.5)
-    assert qfi(rho, obs.total).value == pytest.approx(36.0, rel=1e-10)
+    assert qfi(rho, np.diag(obs.total)).value == pytest.approx(36.0, rel=1e-10)
 
 
 def test_ghz_product_limit():
     from macrosize.fisher import qfi
 
     rho, obs = quantum.ghz_state(3, 0.0)
-    assert qfi(rho, obs.total).value == pytest.approx(0.0, abs=1e-10)
+    assert qfi(rho, np.diag(obs.total)).value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ghz_variance_two_point():
     rho, obs = quantum.ghz_state(4, 0.3)
-    assert variance(rho, obs.total) == pytest.approx(4 * 16 * 0.3 * 0.7, rel=1e-12)
+    assert variance(rho, np.diag(obs.total)) == pytest.approx(4 * 16 * 0.3 * 0.7, rel=1e-12)
 
 
 def test_ghz_rejects_large_register():
-    # rho, 13 local sigma_z and their sum: 15 * 16 * 4**13 B = 16.1 GB.
-    with pytest.raises(DomainError, match=r"needs 15 dense 8192x8192 matrices \(~16\.1 GB\)"):
+    # One dense complex rho: 16 * 4**13 B = 1.1 GB.
+    with pytest.raises(
+        DomainError, match=r"needs a dense 8192x8192 density matrix \(~1\.1 GB\); capped at n=12"
+    ):
         quantum.ghz_state(13, 0.5)
+
+
+def test_ghz_vector_rejects_large_register():
+    # psi at 16 B plus 22 diagonals at 8 B per entry: 192 * 2**21 B = 0.4 GB.
+    with pytest.raises(
+        DomainError,
+        match=r"needs a 2097152-entry state vector and 22 diagonals \(~0\.4 GB\); capped at n=20",
+    ):
+        quantum.ghz_vector(21, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_ghz_vector_diagonals_match_site_operators(n):
+    psi, obs = quantum.ghz_vector(n, 0.3, phase=0.4)
+    assert psi.shape == (2**n,) and psi.dtype == complex
+    assert obs.partition_label == "qubits"
+    for site, diagonal in enumerate(obs.locals_):
+        assert diagonal.dtype == float
+        assert np.array_equal(
+            np.diag(diagonal), quantum.qubit_site_operator(quantum.SIGMA_Z, site, n)
+        )
+    rho, rho_obs = quantum.ghz_state(n, 0.3, phase=0.4)
+    assert np.array_equal(rho, np.outer(psi, psi.conj()))
+    assert np.array_equal(rho_obs.total, obs.total)
+
+
+def test_ghz_vector_amplitudes_and_errors():
+    psi, _ = quantum.ghz_vector(3, 0.25, phase=math.pi / 2)
+    assert psi[0] == pytest.approx(math.sqrt(0.75))
+    assert psi[-1] == pytest.approx(0.5j)
+    assert np.count_nonzero(psi) == 2
+    # At q = 1 the phase is global and dropped.
+    psi, _ = quantum.ghz_vector(3, 1.0, phase=0.7)
+    assert psi[-1] == 1.0 and psi[0] == 0.0
+    with pytest.raises(DomainError, match="subsystem count must be >= 1, got 0"):
+        quantum.ghz_vector(0, 0.5)
+    with pytest.raises(DomainError, match=r"weight q must lie in \[0, 1\], got 1.5"):
+        quantum.ghz_vector(3, 1.5)
+    with pytest.raises(DomainError, match="subsystem count must be >= 1, got 0"):
+        quantum.ghz_state(0, 0.5)
 
 
 def test_mix_identity_and_tensor_trace():
