@@ -80,9 +80,11 @@ class FringeScan:
     @classmethod
     def from_raw(cls, positions, raw_counts) -> "FringeScan":
         raw = np.asarray(raw_counts, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(raw)):
+            raise DomainError("scan positions and counts must be finite")
+        with np.errstate(over="ignore"):
             mean = float(np.mean(raw))
-        if not math.isfinite(mean) and raw.size and np.all(np.isfinite(raw)):
+        if not math.isfinite(mean) and raw.size:
             # The sum of finite counts overflowed: scale by the peak first.
             raw = raw / np.max(np.abs(raw))
             mean = float(np.mean(raw))

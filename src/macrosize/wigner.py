@@ -6,12 +6,17 @@ Reconstruction projects the grid onto the Wigner kernels of the Fock
 operators |m><n| (no iterative tomography), repairs positivity by
 clipping negative eigenvalues, and reports the fit residual.
 
-Synthesis and reconstruction stream the kernels diagonal by diagonal with
-the three-term Laguerre recurrence (Leonhardt, *Measuring the Quantum State
-of Light*, 1997; the iterative method of QuTiP, Johansson, Nation & Nori,
-Comput. Phys. Commun. 184, 1234 (2013)), so each (m, n) pair costs a few
-array operations.  ``fock_kernel`` evaluates one kernel in closed form and
-is kept as the reference the streamed kernels are tested against.
+Synthesis goes through the position basis, W(x, p) = (1/pi) int
+<x - y|rho|x + y> e^{2ipy} dy (Leonhardt, *Measuring the Quantum State of
+Light*, 1997, ch. 3; the route of QuTiP's ``wigner(method='fft')``,
+Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)): Hermite
+functions psi_n by their three-term recurrence on a q-grid aligned with the
+x axis, one GEMM psi^T rho psi, and a Fourier sum along its anti-diagonals.
+The q-step is dx / s, with s the smallest integer that keeps pi / step at or
+above p_max + sqrt(2d + 1) + HERMITE_MARGIN, so the y-sum does not alias.
+The overlap reconstruction is the exact adjoint of that chain.
+``fock_kernel`` evaluates one kernel |m><n| in closed form and is kept as
+the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ DIAGONAL_TAIL_LIMIT = 1e-3
 # A synthesized grid must cover the Fock levels up to the last one whose
 # upper population tail exceeds this.
 SUPPORT_TAIL = 1e-6
+# Hermite functions psi_n, n < d, are cut to 0 beyond sqrt(2d + 1) plus this
+# margin.  Past its turning point sqrt(2n + 1) each psi_n decays at least as
+# fast as a Gaussian, so the dropped terms change W by less than 1e-14 (4e-15
+# for the vacuum at d = 1, rounding level from d = 2 on).
+HERMITE_MARGIN = 6.0
 
 
 class WignerFormatError(MacrosizeError):
@@ -218,65 +228,60 @@ def fock_kernel(m: int, n: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return base * np.where(inside, x - 1j * p, 0.0) ** (m - n) * damping * poly
 
 
-def _fock_diagonals(x: np.ndarray, p: np.ndarray, dim: int):
-    """Stream the Fock kernels K_{n+k,n} below dim, diagonal k = m - n by diagonal.
+def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray):
+    """Hermite functions, anti-diagonal pairs and phases of the position-basis chain.
 
-    Yields ``(k, angular, laguerre)`` with K_{n+k,n} = (-1)^n / pi * angular
-    * l_n, where ``angular`` is E_k = exp(-r^2) (x - ip)^k sqrt(2^k / k!) and
-    ``laguerre`` lazily yields the real l_n = sqrt(n! k! / (n+k)!) L_n^k(2 r^2)
-    for n < dim - k by the three-term recurrence.  Both factors stay O(1) in
-    magnitude, and a diagonal holds only two real grid arrays at a time.
-    Where exp(-r^2) underflows to 0, y = 2 r^2 is set to 0 so that l_n stays
-    finite and the kernel is exactly 0; for dim <= 200 the true kernel there
-    is below e^-140.
+    The q-grid q_k = x_0 + (k + k_lo) h covers [-R, R], R the cut radius,
+    with h = dx / s, so every x_i +- j h on it is a grid point.  s is the
+    smallest integer with pi / h >= p_max + R: the y-sum at step h adds to
+    W(x, p) its copies at p + k pi / h, k != 0, which lie beyond R where
+    the kernels of the dim-level basis vanish.
+
+    Returns ``(psi, h, valid, pairs, phase)``: ``psi[n, k]`` = psi_n(q_k)
+    for n < dim; ``valid[i, j]`` marks the j >= 0 whose x_i -+ j h both lie
+    on the q-grid, ``pairs`` holds their q-indices (of x_i - j h, of
+    x_i + j h) in the order of ``valid``, and ``phase[j, l]`` = e^{2i p_l j h}.
     """
-    r2 = x * x + p * p
-    damping = np.exp(-r2)
-    y = np.where(damping > 0.0, 2.0 * r2, 0.0)
-    z = x - 1j * p
+    radius = math.sqrt(2.0 * dim + 1.0) + HERMITE_MARGIN
+    dx = float(xs[-1] - xs[0]) / (xs.size - 1)
+    p_max = float(np.max(np.abs(ps)))
+    s = max(1, math.ceil(dx * (p_max + radius) / math.pi))
+    h = dx / s
+    k_lo = math.ceil((-radius - xs[0]) / h)
+    q = xs[0] + h * np.arange(k_lo, math.floor((radius - xs[0]) / h) + 1)
 
-    def laguerre(k: int):
-        prev, ell = 0.0, np.ones_like(y)
-        yield ell
-        for n in range(dim - k - 1):
-            nxt = (2 * n + 1 + k - y) * ell
-            nxt -= math.sqrt(n * (n + k)) * prev
-            nxt /= math.sqrt((n + 1) * (n + k + 1))
-            prev, ell = ell, nxt
-            yield ell
+    # psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1}.  On
+    # |q| <= R, e^{-q^2/2} stays a normal float for every dim up to 500.
+    psi = np.empty((dim, q.size))
+    psi[0] = math.pi**-0.25 * np.exp(-0.5 * q * q)
+    for n in range(1, dim):
+        psi[n] = math.sqrt(2.0 / n) * q * psi[n - 1]
+        if n > 1:
+            psi[n] -= math.sqrt((n - 1) / n) * psi[n - 2]
 
-    angular = damping.astype(complex)
-    for k in range(dim):
-        if k:
-            angular = angular * z * math.sqrt(2.0 / k)
-        yield k, angular, laguerre(k)
-
-
-def _mesh(grid_or_axes):
-    if isinstance(grid_or_axes, WignerGrid):
-        x, p = grid_or_axes.x_axis, grid_or_axes.p_axis
-    else:
-        x, p = grid_or_axes
-    return np.meshgrid(np.asarray(x, float), np.asarray(p, float), indexing="xy")
+    centre = s * np.arange(xs.size) - k_lo
+    reach = np.minimum(centre, q.size - 1 - centre)
+    j = np.arange(max(int(reach.max()) + 1, 0))
+    valid = j <= reach[:, None]
+    pairs = ((centre[:, None] - j)[valid], (centre[:, None] + j)[valid])
+    phase = np.exp(2j * h * np.outer(j, ps))
+    return psi, h, valid, pairs, phase
 
 
 def synth_values(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
     """W(x, p) of a density matrix on the given axes."""
-    xg, pg = _mesh((x_axis, p_axis))
-    dim = rho.shape[0]
-    signs = (-1.0) ** np.arange(dim)
-    w = np.zeros(xg.shape, dtype=float)
-    # W = sum_k w_k Re[E_k sum_n (-1)^n rho_{n+k,n} l_n] / pi, w_0 = 1, w_k = 2.
-    for k, angular, laguerre in _fock_diagonals(xg, pg, dim):
-        coeffs = np.diagonal(rho, -k) * signs[: dim - k]
-        nonzero = np.flatnonzero(coeffs)
-        if not nonzero.size:
-            continue
-        acc = np.zeros(xg.shape, dtype=complex)
-        for c, ell in zip(coeffs[: nonzero[-1] + 1], laguerre):
-            acc += c * ell
-        w += (2.0 if k else 1.0) * np.real(angular * acc)
-    return w / math.pi
+    xs, ps = np.asarray(x_axis, float), np.asarray(p_axis, float)
+    psi, h, valid, pairs, phase = _position_chain(rho.shape[0], xs, ps)
+    # W(x, p) = (h/pi) sum_j <x - jh|rho|x + jh> e^{2ipjh}; the terms at -j
+    # are the conjugates of those at j, so j >= 0 counts twice (j = 0 once).
+    # kernel[b, a] = <q_b|rho|q_a> = (psi^T rho psi)[b, a], one real GEMM on
+    # the interleaved real and imaginary parts.
+    right = np.ascontiguousarray(rho @ psi, dtype=complex)
+    kernel = (psi.T @ right.view(float)).view(complex)
+    g = np.zeros(valid.shape, dtype=complex)
+    g[valid] = kernel[pairs]
+    g[:, 1:] *= 2.0
+    return (h / math.pi) * np.real(g @ phase).T
 
 
 def _support_radius(rho: np.ndarray) -> float:
@@ -319,19 +324,21 @@ class ReconstructionReport:
 
 
 def _overlap_reconstruct(grid: WignerGrid, dim: int) -> np.ndarray:
-    xg, pg = _mesh(grid)
-    area = grid.dx * grid.dp
-    rho = np.zeros((dim, dim), dtype=complex)
-    # rho_mn = 2 pi <W, conj(K_mn)>;  tr[AB] = 2 pi int W_A W_B.  With
-    # K_{n+k,n} = (-1)^n / pi E_k l_n and l_n real, the complex factor
-    # W conj(E_k) is formed once per diagonal.
-    for k, angular, laguerre in _fock_diagonals(xg, pg, dim):
-        weighted = grid.values * np.conj(angular)
-        parts = np.stack((weighted.real.ravel(), weighted.imag.ravel()))
-        for n, ell in enumerate(laguerre):
-            re, im = parts @ ell.ravel()
-            rho[n + k, n] = 2.0 * area * (-1.0) ** n * complex(re, im)
-    return rho + np.tril(rho, -1).conj().T
+    """Raw rho_mn = 2 pi <W, conj(K_mn)> dx dp, the adjoint of ``synth_values``.
+
+    With K_mn = (1/pi) sum_j psi_m(x - jh) psi_n(x + jh) e^{2ipjh} h, the
+    p-sum G = W^T e^{-2ipjh} lands on the anti-diagonal (x - jh, x + jh) of
+    a q x q matrix M, and rho = 2 dx dp h psi M psi^T.  M holds only j >= 0,
+    with j = 0 halved; the j < 0 half is its conjugate transpose, so
+    rho = X + X^H with X from the j >= 0 half, Hermitian by construction.
+    """
+    psi, h, valid, pairs, phase = _position_chain(dim, grid.x_axis, grid.p_axis)
+    g = grid.values.T @ phase.conj().T
+    g[:, :1] *= 0.5
+    m = np.zeros((psi.shape[1], psi.shape[1]), dtype=complex)
+    m[pairs] = g[valid]
+    half = (psi @ m.view(float)).view(complex) @ psi.T
+    return 2.0 * grid.dx * grid.dp * h * (half + half.conj().T)
 
 
 def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionReport:

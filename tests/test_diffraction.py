@@ -119,6 +119,16 @@ def test_from_raw_keeps_counts_with_finite_mean(rng):
     assert np.array_equal(scan.counts, raw / float(np.mean(raw)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_raw_rejects_non_finite_counts_before_dividing(bad):
+    raw = np.ones(10)
+    raw[4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            FringeScan.from_raw(np.arange(10.0), raw)
+
+
 def test_scan_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("fringes\n0 1\n", encoding="utf-8")

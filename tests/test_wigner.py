@@ -299,8 +299,20 @@ def test_auto_dim_raise():
 
 
 # ---------------------------------------------------------------------------
-# streamed kernels against the per-pair fock_kernel oracle
+# position-basis synthesis and overlaps against the per-pair fock_kernel oracle
 # ---------------------------------------------------------------------------
+
+
+def test_synth_coherent_state_centre():
+    # The displaced vacuum sits at (sqrt2 Re a, sqrt2 Im a); a transposed
+    # rho in the position chain would mirror it to (sqrt2 Re a, -sqrt2 Im a).
+    alpha = 1.5 * np.exp(1j * math.pi / 3)
+    xs = np.linspace(-7.0, 7.0, 57)
+    xg, pg = np.meshgrid(xs, xs, indexing="xy")
+    values = wigner.synth_values(quantum.coherent_state(alpha, 40), xs, xs)
+    x0, p0 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+    expected = np.exp(-((xg - x0) ** 2) - (pg - p0) ** 2) / math.pi
+    assert np.max(np.abs(values - expected)) < 1e-12
 
 
 def _oracle_synth_and_overlap(rho, values, xs, ps):
@@ -331,6 +343,8 @@ def _oracle_synth_and_overlap(rho, values, xs, ps):
         (200, (-22.0, 22.0, 17), (-22.0, 22.0, 17)),
         # +-30 reaches r = 42, where the Laguerre factor overflows as well
         (200, (-30.0, 30.0, 21), (-30.0, 30.0, 21)),
+        # p reaches far past the support: the q-step must shrink with p_max
+        (32, (-7.0, 7.0, 71), (-40.0, 40.0, 201)),
     ],
 )
 def test_streamed_kernels_match_fock_kernel(rng, dim, x_axis, p_axis):
@@ -346,19 +360,32 @@ def test_streamed_kernels_match_fock_kernel(rng, dim, x_axis, p_axis):
 
 
 def test_wide_grid_kernels_stay_finite():
-    # dim 200 on +-30: exp(-r^2) underflows past r = 27, and the Laguerre
-    # factor alone overflows past r = 36; the kernels there are exactly 0.
+    # dim 200 on +-30: the grid reaches r = 42, where exp(-r^2) underflows.
+    # The y-sum cancels O(1) terms there, so it is accurate to 1e-15 in
+    # absolute terms, not relative to the underflowing exp(-r^2).
     axis = (-30.0, 30.0, 61)
     xs = np.linspace(*axis)
     xg, pg = np.meshgrid(xs, xs, indexing="xy")
     values = wigner.synth_values(quantum.vacuum_state(200), xs, xs)
     assert np.all(np.isfinite(values))
     expected = np.exp(-(xg**2 + pg**2)) / math.pi
-    np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(values, expected, rtol=1e-14, atol=1e-15)
     # 61 points cannot resolve the dim-200 kernels: an honest residual
     # verdict, not a nan in the reconstructed matrix.
     with pytest.raises(ReconstructionError):
         reconstruct(WignerGrid(*axis, *axis, values), 200)
+
+
+def test_grid_outside_support_gives_zeros():
+    # Every x lies beyond the cut radius of dim 40, so no (x - y, x + y)
+    # pair falls on the q-grid: zeros, not an empty-index failure.
+    x_axis, p_axis = (40.0, 48.0, 33), (-4.0, 4.0, 33)
+    rho = random_density(np.random.default_rng(1), 40)
+    values = wigner.synth_values(rho, np.linspace(*x_axis), np.linspace(*p_axis))
+    assert values.shape == (33, 33)
+    assert np.array_equal(values, np.zeros((33, 33)))
+    grid = WignerGrid(*x_axis, *p_axis, np.ones((33, 33)))
+    assert np.array_equal(wigner._overlap_reconstruct(grid, 40), np.zeros((40, 40)))
 
 
 @given(
