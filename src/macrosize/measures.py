@@ -139,8 +139,10 @@ def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
     """QFI of the total and the local variances, from one check of the state.
 
     ``state`` is a density matrix or, if 1-D, a pure state vector.  A vector
-    is checked here; a density matrix is checked by ``fisher.qfi``, and the
-    locals share the total's shape, so their variances need no second check.
+    is checked here; a density matrix is checked and decomposed once by
+    ``fisher._density``, and the locals share the total's shape, so their
+    variances need no second check.  A density matrix certified pure gives
+    its variances from the same vector psi, as ||B psi||^2.
     A vector with diagonal locals needs only its populations p = |psi|^2:
     Var(a) = sum p (a - <a>)^2, and the QFI of a pure state is 4 Var(total).
     Any other pair takes the dense path, with a vector expanded to
@@ -161,9 +163,9 @@ def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
     if observable.diagonal:
         total = np.diag(total).astype(complex)
         locals_ = [np.diag(a).astype(complex) for a in locals_]
-    total_qfi = fisher.qfi(state, total).value
-    rho = np.asarray(state, dtype=complex)
-    return total_qfi, [fisher._variance(rho, a) for a in locals_]
+    density = fisher._density(state)
+    total_qfi = fisher._qfi(density, total).value
+    return total_qfi, [fisher._state_variance(density, a) for a in locals_]
 
 
 def _diagonal_qfi_and_variances(p: np.ndarray, observable: PartitionedObservable):

@@ -162,6 +162,17 @@ def test_measure_fock_thermal_isotropic_note(tmp_path, capsys):
     assert sum("isotropic" in note for note in doc["notes"]) == 1
 
 
+def test_measure_fock_squeezed_near_cap(tmp_path, capsys):
+    # A pure state at dim 2000 takes the O(d^2) path, with no eigensolver.
+    cfg = write_json(
+        tmp_path / "squeezed.json",
+        {"system": "fock", "kind": "squeezed", "dim": 2000, "r": 1.0},
+    )
+    code, out, _err = run_cli(["--format", "json", "measure", cfg], capsys)
+    assert code == 0
+    assert json.loads(out)["values"]["fhat"] == pytest.approx(2.0 * math.exp(2.0), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # wigner
 # ---------------------------------------------------------------------------

@@ -219,6 +219,153 @@ def test_quadrature_spectral_diagnostics():
     assert "scanned" not in result.diagnostics
 
 
+def test_fold_angle_both_sides_of_zero():
+    # A rounding-level negative angle is 0, not a rounding step below pi.
+    assert fisher._fold_angle(-9e-16) == 0.0
+    assert fisher._fold_angle(-fisher.ANGLE_FOLD_ATOL / 2) == 0.0
+    assert fisher._fold_angle(-1e-3) == math.pi - 1e-3
+    assert fisher._fold_angle(0.0) == 0.0
+    assert fisher._fold_angle(math.pi / 2) == math.pi / 2
+
+
+def test_quadrature_angle_of_a_rotated_cat():
+    # exp(-i phi n) turns the x-aligned cat's long axis to -phi, i.e. pi - phi.
+    dim, phi = 40, 1e-3
+    _a, x, p = quantum.fock_operators(dim, nu=0.5)
+    turn = np.exp(-1j * phi * np.arange(dim))
+    rho = turn[:, None] * quantum.cat_state(2.0, dim) * turn.conj()[None, :]
+    theta, _result = fisher.qfi_max_quadrature(rho, x, p)
+    assert theta == pytest.approx(math.pi - phi, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one check and one decomposition per state, against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def reference_qfi_matrix(rho, operators):
+    """The dense formulas: a separate eigvalsh positivity check, then
+    4 Re tr(rho B_a B_b) for a pure rho, else the spectral sum over
+    np.linalg.eigh with pairs below PAIR_THRESHOLD_FACTOR * l_max dropped."""
+    rho = quantum.validate_density(rho)
+    count = len(operators)
+    matrix = np.empty((count, count))
+    if np.real(np.sum(rho * rho.T)) > quantum.PURITY_PURE_THRESHOLD:
+        eye = np.eye(rho.shape[0])
+        centred = [op - np.real(np.trace(rho @ op)) * eye for op in operators]
+        for a in range(count):
+            for b in range(count):
+                matrix[a, b] = 4.0 * np.real(np.trace(rho @ centred[a] @ centred[b]))
+        return matrix
+    lam, vec = np.linalg.eigh(rho)
+    rotated = [vec.conj().T @ op @ vec for op in operators]
+    sums = lam[:, None] + lam[None, :]
+    keep = sums > fisher.PAIR_THRESHOLD_FACTOR * lam.max()
+    weights = np.zeros_like(sums)
+    weights[keep] = (lam[:, None] - lam[None, :])[keep] ** 2 / sums[keep]
+    for a in range(count):
+        for b in range(count):
+            overlap = np.real(rotated[a] * np.conj(rotated[b]))
+            matrix[a, b] = 2.0 * np.sum(weights * overlap)
+    return matrix
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 30, 120, 200])
+def test_qfi_matches_dense_reference(dim):
+    rng = np.random.default_rng(dim)
+    _a, x, p = quantum.fock_operators(dim, nu=0.5)
+    generator = random_hermitian(rng, dim)
+    states = {
+        "pure": random_pure(rng, dim),
+        "rank-deficient": random_density(rng, dim, max(2, dim // 3)),
+        "full-rank": random_density(rng, dim),
+    }
+    if dim == 2:
+        del states["rank-deficient"]
+    for kind, rho in states.items():
+        expected = reference_qfi_matrix(rho, [x, p])
+        _theta, result = fisher.qfi_max_quadrature(rho, x, p)
+        assert result.method == ("pure-variance" if kind == "pure" else "spectral")
+        top = float(np.linalg.eigvalsh(expected)[-1])
+        assert result.value == pytest.approx(top, rel=1e-12, abs=0.0), kind
+        for op in (x, generator):
+            value = float(reference_qfi_matrix(rho, [op])[0, 0])
+            assert fisher.qfi(rho, op).value == pytest.approx(value, rel=1e-12, abs=0.0)
+            centred = op - np.real(np.trace(rho @ op)) * np.eye(dim)
+            variance = np.real(np.trace(rho @ centred @ centred))
+            assert fisher.variance(rho, op) == pytest.approx(variance, rel=1e-12, abs=0.0)
+
+
+def _near_pure_negative_state(dim=5):
+    """Unit trace and purity 1 to rounding, with eigenvalues (0.9, s, 0.1 - s, 0, ...).
+
+    sum l^2 = 1 fixes 0.9 s + 0.9 (0.1 - s) + s (0.1 - s) = 0, so the third
+    eigenvalue is about -0.254.
+    """
+    s = 0.5 * (0.1 + math.sqrt(0.01 + 4 * 0.09))
+    lam = np.zeros(dim)
+    lam[:3] = (0.9, s, 0.1 - s)
+    u = random_unitary(np.random.default_rng(3), dim)
+    return (u * lam) @ u.conj().T
+
+
+def _rejected_states():
+    pure = random_pure(np.random.default_rng(4), 6)
+    kick = np.zeros((6, 6), dtype=complex)
+    kick[4, 4], kick[5, 5] = -1e-9, 1e-9
+    return {
+        "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
+        "trace": np.diag([1.0, 0.5]).astype(complex),
+        "non-square": np.full((2, 3), 0.5, dtype=complex),
+        "nan": np.diag([np.nan, 1.0]).astype(complex),
+        "mixed-negative": np.diag([0.6, 0.5, -0.1]).astype(complex),
+        "near-pure-negative": _near_pure_negative_state(),
+        "pure-with-negative-kick": pure + kick,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_rejected_states()))
+def test_qfi_entry_points_reject_what_validate_density_rejects(kind):
+    rho = _rejected_states()[kind]
+    with pytest.raises(DomainError) as expected:
+        quantum.validate_density(rho)
+    dim = max(2, rho.shape[0])
+    _a, x, p = quantum.fock_operators(dim, nu=0.5)
+    with pytest.raises(DomainError) as from_qfi:
+        fisher.qfi(rho, x)
+    with pytest.raises(DomainError) as from_quadrature:
+        fisher.qfi_max_quadrature(rho, x, p)
+    assert str(from_qfi.value) == str(from_quadrature.value) == str(expected.value)
+
+
+def test_near_pure_negative_state_is_a_pure_path_candidate():
+    # The certificate, not the purity gate, must reject it.
+    rho = _near_pure_negative_state()
+    assert quantum.purity(rho) > quantum.PURITY_PURE_THRESHOLD
+    with pytest.raises(DomainError, match="negative eigenvalue -2.541e-01"):
+        fisher.qfi(rho, quantum.fock_operators(5, nu=0.5)[1])
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [quantum.squeezed_state(0.8, 160), random_pure(np.random.default_rng(5), 150)],
+    ids=["squeezed", "random"],
+)
+def test_pure_quadrature_calls_no_eigensolver(rho, monkeypatch):
+    dim = rho.shape[0]
+    _a, x, p = quantum.fock_operators(dim, nu=0.5)
+    top = float(np.linalg.eigvalsh(reference_qfi_matrix(rho, [x, p]))[-1])
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigensolver called on a pure state")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    _theta, result = fisher.qfi_max_quadrature(rho, x, p)
+    assert result.method == "pure-variance"
+    assert result.value == pytest.approx(top, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # invariants on random ensembles
 # ---------------------------------------------------------------------------

@@ -137,14 +137,23 @@ def test_size_report_is_qfi_and_variance_composition(rng):
 
 
 def _record_state_checks(monkeypatch):
-    """Record every density check, vector check, fisher.qfi operator and np.sum input."""
+    """Record every density check, vector check, QFI operator and np.sum input.
+
+    A density matrix is checked by ``fisher._density`` (Hermiticity, trace
+    and positivity from its one decomposition) or by
+    ``quantum.validate_density``; both count as a check.
+    """
     calls = {"validated": [], "populations": [], "qfi_operators": [], "summed": []}
     validate_density, populations = quantum.validate_density, quantum.populations
-    qfi, np_sum = fisher.qfi, np.sum
+    density, qfi, np_sum = fisher._density, fisher._qfi, np.sum
 
     def counting_validate(state, *args, **kwargs):
         calls["validated"].append(state)
         return validate_density(state, *args, **kwargs)
+
+    def counting_density(state):
+        calls["validated"].append(state)
+        return density(state)
 
     def counting_populations(psi, *args, **kwargs):
         calls["populations"].append(psi)
@@ -159,8 +168,9 @@ def _record_state_checks(monkeypatch):
         return np_sum(a, *args, **kwargs)
 
     monkeypatch.setattr(quantum, "validate_density", counting_validate)
+    monkeypatch.setattr(fisher, "_density", counting_density)
     monkeypatch.setattr(quantum, "populations", counting_populations)
-    monkeypatch.setattr(fisher, "qfi", recording_qfi)
+    monkeypatch.setattr(fisher, "_qfi", recording_qfi)
     monkeypatch.setattr(np, "sum", recording_sum)
     return calls
 

@@ -22,10 +22,15 @@ def test_eigh_position_two_level():
     assert np.allclose(spec.eigenvalues, [1.0 / math.sqrt(2), -1.0 / math.sqrt(2)])
 
 
+def _reconstruct(spec):
+    v = spec.eigenvectors
+    return (v * spec.eigenvalues) @ v.conj().T
+
+
 def test_eigh_reconstruction_residual(rng):
     h = random_hermitian(rng, 8)
     spec = quantum.eigh(h)
-    residual = np.max(np.abs(spec.reconstruct() - h))
+    residual = np.max(np.abs(_reconstruct(spec) - h))
     assert residual <= 1e-9 * max(1e-300, np.max(np.abs(h)))
 
 
@@ -33,7 +38,7 @@ def test_eigh_reconstruction_residual(rng):
 def test_eigh_roundtrip_up_to_dim_64(rng, dim):
     h = random_hermitian(rng, dim, scale=3.0)
     spec = quantum.eigh(h)
-    assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-9 * np.max(np.abs(h))
+    assert np.max(np.abs(_reconstruct(spec) - h)) <= 1e-9 * np.max(np.abs(h))
     # descending order and orthonormality
     assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
     gram = spec.eigenvectors.conj().T @ spec.eigenvectors
@@ -49,6 +54,29 @@ def test_eigh_deterministic_phase(rng):
         col = s1.eigenvectors[:, k]
         lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
         assert abs(lead.imag) <= 1e-12 and lead.real > 0
+
+
+def _fix_phases_loop(vectors):
+    """Column-by-column reference for quantum._fix_phases."""
+    fixed = vectors.copy()
+    for k in range(fixed.shape[1]):
+        col = fixed[:, k]
+        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        fixed[:, k] = col * (np.conj(lead) / abs(lead))
+    return fixed
+
+
+@pytest.mark.parametrize("dim", [2, 7, 40, 120])
+def test_fix_phases_matches_loop_bit_for_bit(rng, dim):
+    # Random, diagonal (exact zeros) and tiny-leading-entry eigenvector sets.
+    h = random_hermitian(rng, dim)
+    tiny = h.copy()
+    tiny[: dim // 2] *= 1e-13
+    tiny[:, : dim // 2] *= 1e-13
+    for matrix in (h, np.diag(rng.standard_normal(dim)).astype(complex), tiny):
+        _values, vectors = np.linalg.eigh(matrix)
+        fast, slow = quantum._fix_phases(vectors), _fix_phases_loop(vectors)
+        assert fast.tobytes() == slow.tobytes()
 
 
 def test_eigh_rejects_non_hermitian():
