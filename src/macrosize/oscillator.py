@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import j0, j1
 
 from .errors import DomainError
 from .measures import SizeReport, constants
@@ -25,6 +23,9 @@ from .measures import SizeReport, constants
 # First zero of the Bessel function J0; the drum fundamental J0(b01 r / R)
 # has mode volume pi R^2 t J1(b01)^2 ~ 0.2695 V.
 BESSEL_J0_FIRST_ZERO = 2.404825557696
+# J1(BESSEL_J0_FIRST_ZERO)**2, as scipy.special.j1 gives it, so that no
+# closed-form size needs scipy at import time.
+CIRCULAR_DRUM_VOLUME_FRACTION = 0.269514123941866
 
 # Thermal single-atom rms displacements (m) at room temperature; the
 # default is used when no material value is supplied.
@@ -141,7 +142,7 @@ class OscillatorMode:
 
 def _fundamental_volume_fraction(geometry: ModeGeometry) -> float:
     if geometry.shape == "circular-drum":
-        return float(j1(BESSEL_J0_FIRST_ZERO) ** 2)
+        return CIRCULAR_DRUM_VOLUME_FRACTION
     if geometry.shape == "square-drum":
         return 0.25
     if geometry.shape in ("uniform", "torus"):
@@ -152,6 +153,9 @@ def _fundamental_volume_fraction(geometry: ModeGeometry) -> float:
 
 def _quadrature_volume_fraction(geometry: ModeGeometry, rtol: float = 1e-6) -> float:
     """Integrate w^2 over the footprint numerically (fundamental modes)."""
+    from scipy import integrate
+    from scipy.special import j0
+
     if geometry.shape == "circular-drum":
         radius = geometry.dimensions["radius"]
         integrand = lambda r: j0(BESSEL_J0_FIRST_ZERO * r / radius) ** 2 * 2.0 * r
@@ -182,7 +186,8 @@ def mode_volume(
     """Mode volume, mass and particle number for a geometry and mode shape.
 
     ``mode`` is ``"fundamental"`` or ``"uniform"``.  ``numerical=True``
-    cross-checks closed forms by adaptive quadrature.
+    cross-checks closed forms by adaptive quadrature (scipy, imported on
+    that call only).
     """
     volume = geometry.volume
     if mode == "uniform":

@@ -15,17 +15,20 @@ x axis, one GEMM psi^T rho psi, and a Fourier sum along its anti-diagonals.
 The q-step is dx / s, with s the smallest integer that keeps pi / step at or
 above p_max + sqrt(2d + 1) + HERMITE_MARGIN, so the y-sum does not alias.
 The overlap reconstruction is the exact adjoint of that chain.
+``reconstruct`` builds that chain once per dim and re-synthesizes through
+the chain of its last overlap pass, in the same q x q workspace.
 ``fock_kernel`` evaluates one kernel |m><n| in closed form and is kept as
-the reference both are tested against.
+the reference both are tested against; it is the one function here that
+needs scipy, and imports it when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from . import fisher, quantum
 from .errors import DomainError, MacrosizeError
@@ -192,18 +195,25 @@ def load_grid(path) -> WignerGrid:
     if len(rows) != p_count:
         raise GridAxisError(f"expected {p_count} data rows, found {len(rows)}")
     # Rows are checked before any array is sized from the header's counts.
-    values = []
+    tokens = []
     for i, row in enumerate(rows):
         fields = row.split()
         if len(fields) != x_count:
             raise GridAxisError(
                 f"row {i} has {len(fields)} columns, expected {x_count}"
             )
-        try:
-            values.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise GridValueError(f"unparseable value in data row {i}") from exc
-    values = np.array(values) * scale
+        tokens.extend(fields)
+    # numpy parses each token as float() does, in one call.
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        for i, row in enumerate(rows):
+            try:
+                [float(f) for f in row.split()]
+            except ValueError as exc:
+                raise GridValueError(f"unparseable value in data row {i}") from exc
+        raise GridValueError("unparseable value in the data block") from None
+    values = values.reshape(p_count, x_count) * scale
     return WignerGrid(x_min, x_max, x_count, p_min, p_max, p_count, values)
 
 
@@ -213,6 +223,8 @@ def load_grid(path) -> WignerGrid:
 
 def fock_kernel(m: int, n: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Wigner transform of |m><n| on meshgrid arrays (vacuum variance 1/2)."""
+    from scipy.special import eval_genlaguerre, gammaln
+
     if m < n:
         return np.conj(fock_kernel(n, m, x, p))
     r2 = x * x + p * p
@@ -228,7 +240,26 @@ def fock_kernel(m: int, n: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return base * np.where(inside, x - 1j * p, 0.0) ** (m - n) * damping * poly
 
 
-def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray):
+class _Chain(NamedTuple):
+    """The position-basis chain of one dim on one pair of axes.
+
+    ``psi[n, k]`` = psi_n(q_k) for n < dim on the q-grid of step ``h``;
+    ``valid[i, j]`` marks the j >= 0 whose x_i -+ j h both lie on the
+    q-grid, ``pairs`` holds their q-indices (of x_i - j h, of x_i + j h) in
+    the order of ``valid``, and ``phase[j, l]`` = e^{2i p_l j h}.  ``work``
+    is a q x q complex workspace: the overlap pass fills it as M, and a
+    synthesis through the same chain overwrites it with psi^T rho psi.
+    """
+
+    psi: np.ndarray
+    h: float
+    valid: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+    phase: np.ndarray
+    work: np.ndarray
+
+
+def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     """Hermite functions, anti-diagonal pairs and phases of the position-basis chain.
 
     The q-grid q_k = x_0 + (k + k_lo) h covers [-R, R], R the cut radius,
@@ -236,11 +267,6 @@ def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray):
     smallest integer with pi / h >= p_max + R: the y-sum at step h adds to
     W(x, p) its copies at p + k pi / h, k != 0, which lie beyond R where
     the kernels of the dim-level basis vanish.
-
-    Returns ``(psi, h, valid, pairs, phase)``: ``psi[n, k]`` = psi_n(q_k)
-    for n < dim; ``valid[i, j]`` marks the j >= 0 whose x_i -+ j h both lie
-    on the q-grid, ``pairs`` holds their q-indices (of x_i - j h, of
-    x_i + j h) in the order of ``valid``, and ``phase[j, l]`` = e^{2i p_l j h}.
     """
     radius = math.sqrt(2.0 * dim + 1.0) + HERMITE_MARGIN
     dx = float(xs[-1] - xs[0]) / (xs.size - 1)
@@ -265,23 +291,29 @@ def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray):
     valid = j <= reach[:, None]
     pairs = ((centre[:, None] - j)[valid], (centre[:, None] + j)[valid])
     phase = np.exp(2j * h * np.outer(j, ps))
-    return psi, h, valid, pairs, phase
+    work = np.empty((q.size, q.size), dtype=complex)
+    return _Chain(psi, h, valid, pairs, phase, work)
 
 
-def synth_values(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
-    """W(x, p) of a density matrix on the given axes."""
-    xs, ps = np.asarray(x_axis, float), np.asarray(p_axis, float)
-    psi, h, valid, pairs, phase = _position_chain(rho.shape[0], xs, ps)
+def _synthesize(rho: np.ndarray, chain: _Chain) -> np.ndarray:
+    """W of ``rho`` on the axes of ``chain``; overwrites ``chain.work``."""
+    psi, h, valid, pairs, phase, kernel = chain
     # W(x, p) = (h/pi) sum_j <x - jh|rho|x + jh> e^{2ipjh}; the terms at -j
     # are the conjugates of those at j, so j >= 0 counts twice (j = 0 once).
     # kernel[b, a] = <q_b|rho|q_a> = (psi^T rho psi)[b, a], one real GEMM on
     # the interleaved real and imaginary parts.
     right = np.ascontiguousarray(rho @ psi, dtype=complex)
-    kernel = (psi.T @ right.view(float)).view(complex)
+    np.matmul(psi.T, right.view(float), out=kernel.view(float))
     g = np.zeros(valid.shape, dtype=complex)
     g[valid] = kernel[pairs]
     g[:, 1:] *= 2.0
     return (h / math.pi) * np.real(g @ phase).T
+
+
+def synth_values(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
+    """W(x, p) of a density matrix on the given axes."""
+    xs, ps = np.asarray(x_axis, float), np.asarray(p_axis, float)
+    return _synthesize(rho, _position_chain(rho.shape[0], xs, ps))
 
 
 def _support_radius(rho: np.ndarray) -> float:
@@ -323,19 +355,20 @@ class ReconstructionReport:
     diagonal_tail: float
 
 
-def _overlap_reconstruct(grid: WignerGrid, dim: int) -> np.ndarray:
-    """Raw rho_mn = 2 pi <W, conj(K_mn)> dx dp, the adjoint of ``synth_values``.
+def _overlap_reconstruct(grid: WignerGrid, chain: _Chain) -> np.ndarray:
+    """Raw rho_mn = 2 pi <W, conj(K_mn)> dx dp, the adjoint of ``_synthesize``.
 
     With K_mn = (1/pi) sum_j psi_m(x - jh) psi_n(x + jh) e^{2ipjh} h, the
     p-sum G = W^T e^{-2ipjh} lands on the anti-diagonal (x - jh, x + jh) of
     a q x q matrix M, and rho = 2 dx dp h psi M psi^T.  M holds only j >= 0,
     with j = 0 halved; the j < 0 half is its conjugate transpose, so
     rho = X + X^H with X from the j >= 0 half, Hermitian by construction.
+    M is built in ``chain.work``.
     """
-    psi, h, valid, pairs, phase = _position_chain(dim, grid.x_axis, grid.p_axis)
+    psi, h, valid, pairs, phase, m = chain
     g = grid.values.T @ phase.conj().T
     g[:, :1] *= 0.5
-    m = np.zeros((psi.shape[1], psi.shape[1]), dtype=complex)
+    m.fill(0.0)
     m[pairs] = g[valid]
     half = (psi @ m.view(float)).view(complex) @ psi.T
     return 2.0 * grid.dx * grid.dp * h * (half + half.conj().T)
@@ -355,7 +388,8 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
     if dim < 2 or dim > DIM_CAP:
         raise DomainError(f"reconstruction dim must be in [2, {DIM_CAP}], got {dim}")
     while True:
-        raw = _overlap_reconstruct(grid, dim)
+        chain = _position_chain(dim, grid.x_axis, grid.p_axis)
+        raw = _overlap_reconstruct(grid, chain)
         # Weight outside the basis: a normalized grid carries unit trace, so
         # the raw overlap trace measures how much of the state fits in dim.
         tail = max(0.0, 1.0 - float(np.real(np.trace(raw))))
@@ -374,7 +408,7 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
     rho = (vectors * clipped) @ vectors.conj().T
     rho = 0.5 * (rho + rho.conj().T)
 
-    resynth = synth_values(rho, grid.x_axis, grid.p_axis)
+    resynth = _synthesize(rho, chain)
     scale = float(np.linalg.norm(grid.values))
     residual = float(np.linalg.norm(resynth - grid.values)) / max(scale, 1e-300)
     report = ReconstructionReport(rho, dim, clipped_mass, residual, tail)

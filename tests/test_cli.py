@@ -461,11 +461,25 @@ def test_json_format(tmp_path, capsys):
     assert doc["values"]["n_ent"] == pytest.approx(3.0, abs=1e-9)
 
 
-def test_console_entry_point():
+def _subprocess_env():
     # The subprocess imports the same macrosize sources as this test.
     src = os.path.dirname(os.path.dirname(os.path.abspath(macrosize.__file__)))
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Every CLI job starts a process; scipy alone would take most of its start-up.
+    code = "import sys, macrosize.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_console_entry_point():
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "macrosize.cli", "catalog", "--what", "flux"],
         capture_output=True,

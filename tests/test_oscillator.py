@@ -28,6 +28,13 @@ def test_drum_fundamental_fraction_closed_form():
     assert mode.mode_volume / geom.volume == pytest.approx(0.2695, abs=1e-4)
 
 
+def test_drum_fraction_literal_is_scipy_j1():
+    from scipy.special import j1
+
+    expected = float(j1(oscillator.BESSEL_J0_FIRST_ZERO) ** 2)
+    assert oscillator.CIRCULAR_DRUM_VOLUME_FRACTION == expected
+
+
 def test_drum_fraction_quadrature_agrees():
     geom = circular_drum(7.5e-6, 100e-9, **TEUFEL)
     closed = mode_volume(geom, "fundamental")

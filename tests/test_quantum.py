@@ -127,10 +127,68 @@ def test_cat_symmetry_and_purity():
     assert quantum.purity(rho) == pytest.approx(1.0, abs=1e-10)
 
 
+def _old_fock_operators(dim, nu, hbar):
+    # The dense construction that fock_operators replaced: a, a+, their sum
+    # and their difference.
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+    adag = a.conj().T
+    x = math.sqrt(nu) * (a + adag)
+    p = (hbar / (2.0 * math.sqrt(nu))) * 1j * (adag - a)
+    return a, x, p
+
+
+@pytest.mark.parametrize("dim", [2, 3, 120, 180, 600])
+@pytest.mark.parametrize("nu,hbar", [(0.5, 1.0), (1.0, 1.054571817e-34), (0.3, 2.7)])
+def test_fock_operators_bit_identical_to_dense_construction(dim, nu, hbar):
+    for new, old in zip(
+        quantum.fock_operators(dim, nu=nu, hbar=hbar), _old_fock_operators(dim, nu, hbar)
+    ):
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def test_max_asymmetry_matches_full_expression():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        d = int(rng.integers(1, 200))
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if trial % 3 == 0:
+            m = m + m.conj().T + 1e-13 * rng.standard_normal((d, d))
+        if trial % 4 == 0:
+            m = m.real.copy()
+        expected = float(np.max(np.abs(m - m.conj().T)))
+        assert quantum.max_asymmetry(m) == expected
+    m[d - 1, 0] = np.nan
+    assert math.isnan(quantum.max_asymmetry(m))
+
+
+def test_require_hermitian_message_unchanged():
+    m = np.zeros((130, 130), dtype=complex)
+    m[129, 3] = 2e-3j
+    with pytest.raises(DomainError, match="^op is not Hermitian: max asymmetry 2.000e-03$"):
+        quantum.require_hermitian(m, "op")
+    m[100, 70] = np.nan
+    with pytest.raises(DomainError, match="max asymmetry nan"):
+        quantum.require_hermitian(m, "op")
+
+
+def test_coherent_amplitudes_match_gammaln():
+    from scipy.special import gammaln
+
+    # math.lgamma and gammaln differ by at most 4.8e-16 relative for n < 3000;
+    # at dim 200 that moves an amplitude by less than 1e-12 relative.
+    n = np.arange(200)
+    alpha = 4.0 * np.exp(0.4j)
+    log_mag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+    expected = np.exp(log_mag - 0.5 * abs(alpha) ** 2) * np.exp(1j * n * np.angle(alpha))
+    np.testing.assert_allclose(
+        quantum.coherent_amplitudes(alpha, 200), expected, rtol=1e-12, atol=0.0
+    )
+
+
 def test_coherent_displacement_identity():
     dim = 40
     rho = quantum.coherent_state(1.5, dim)
-    a = quantum.annihilation(dim)
+    a, _x, _p = quantum.fock_operators(dim)
     mean_a = np.trace(rho @ a)
     assert mean_a.real == pytest.approx(1.5, abs=1e-8)
     assert mean_a.imag == pytest.approx(0.0, abs=1e-10)

@@ -134,6 +134,25 @@ def test_load_errors_are_distinct(tmp_path):
         load_grid(garbage)
 
 
+@pytest.mark.parametrize("token,row", [("two", 0), ("1d5", 1), ("0x10", 1), ("1e", 0)])
+def test_load_names_the_unparseable_row(tmp_path, token, row):
+    path = tmp_path / "bad.wig"
+    rows = ["1 2", "3 4"]
+    rows[row] = f"1 {token}"
+    path.write_text("wigner-grid v1\nx -1 1 2\np -1 1 2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(GridValueError, match=f"data row {row}$"):
+        load_grid(path)
+
+
+def test_load_parses_tokens_as_float_does(tmp_path):
+    tokens = ["1_0", "\u0661\u0662", "1.5e-320", "-0", ".5", "1e-400", "+1", "\u0663e\u0662"]
+    path = tmp_path / "tokens.wig"
+    text = "wigner-grid v1\nx -1 1 4\np -1 1 2\n" + " ".join(tokens[:4]) + "\n"
+    path.write_text(text + " ".join(tokens[4:]) + "\n", encoding="utf-8")
+    expected = np.array([float(t) for t in tokens]).reshape(2, 4)
+    assert load_grid(path).values.tobytes() == expected.tobytes()
+
+
 def test_load_rejects_non_utf8(tmp_path):
     path = tmp_path / "latin1.wig"
     path.write_bytes("wigner-grid v1\nx -1 1 2\np -1 1 2\n1 2\n3 4 \xe9\n".encode("latin-1"))
@@ -220,10 +239,104 @@ def test_reconstruct_rejects_garbage():
 def test_reconstruct_rejects_nan_residual(monkeypatch):
     grid = synth_grid(quantum.vacuum_state(12), AXES, AXES)
     monkeypatch.setattr(
-        wigner, "synth_values", lambda rho, xs, ps: np.full_like(grid.values, np.nan)
+        wigner, "_synthesize", lambda rho, chain: np.full_like(grid.values, np.nan)
     )
     with pytest.raises(ReconstructionError, match="residual nan"):
         reconstruct(grid, 12)
+
+
+def _two_chain_reconstruct(grid, dim):
+    """``reconstruct`` with one chain for the overlaps and another for the
+    residual, each with fresh q x q temporaries: the reference the one-chain
+    path must match byte for byte.  Returns ``(rho, dim, residual, resynth)``."""
+
+    def overlap(dim):
+        psi, h, valid, pairs, phase, _work = wigner._position_chain(
+            dim, grid.x_axis, grid.p_axis
+        )
+        g = grid.values.T @ phase.conj().T
+        g[:, :1] *= 0.5
+        m = np.zeros((psi.shape[1], psi.shape[1]), dtype=complex)
+        m[pairs] = g[valid]
+        half = (psi @ m.view(float)).view(complex) @ psi.T
+        return 2.0 * grid.dx * grid.dp * h * (half + half.conj().T)
+
+    def synth(rho):
+        psi, h, valid, pairs, phase, _work = wigner._position_chain(
+            rho.shape[0], grid.x_axis, grid.p_axis
+        )
+        right = np.ascontiguousarray(rho @ psi, dtype=complex)
+        kernel = (psi.T @ right.view(float)).view(complex)
+        g = np.zeros(valid.shape, dtype=complex)
+        g[valid] = kernel[pairs]
+        g[:, 1:] *= 2.0
+        return (h / math.pi) * np.real(g @ phase).T
+
+    auto = dim is None
+    dim = wigner.DEFAULT_DIM if auto else dim
+    while True:
+        raw = overlap(dim)
+        tail = max(0.0, 1.0 - float(np.real(np.trace(raw))))
+        if auto and tail > wigner.DIAGONAL_TAIL_LIMIT and dim < wigner.DIM_CAP:
+            dim = min(int(dim * 1.5) + 1, wigner.DIM_CAP)
+            continue
+        break
+    values, vectors = np.linalg.eigh(raw)
+    clipped = np.clip(values, 0.0, None)
+    clipped /= float(np.sum(clipped))
+    rho = (vectors * clipped) @ vectors.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    resynth = synth(rho)
+    residual = float(np.linalg.norm(resynth - grid.values)) / float(
+        np.linalg.norm(grid.values)
+    )
+    return rho, dim, residual, resynth
+
+
+def _coherent_patch():
+    # A coherent state at radius 7.5 on a +-4 patch of 33 points: auto-dim
+    # steps from 40 to 61 on it.
+    x0, p0 = 7.5 * math.cos(0.9), 7.5 * math.sin(0.9)
+    x_axis, p_axis = (x0 - 4.0, x0 + 4.0, 33), (p0 - 4.0, p0 + 4.0, 33)
+    xg, pg = np.meshgrid(np.linspace(*x_axis), np.linspace(*p_axis), indexing="xy")
+    values = np.exp(-((xg - x0) ** 2) - (pg - p0) ** 2) / math.pi
+    return WignerGrid(*x_axis, *p_axis, values)
+
+
+@pytest.mark.parametrize(
+    "case,dim,final_dim",
+    [
+        ("squeezed", 32, 32),
+        ("cat", 32, 32),
+        ("cat", None, 40),
+        ("patch", None, 61),
+        ("patch", 61, 61),
+    ],
+)
+def test_reconstruct_matches_two_chain_path(monkeypatch, case, dim, final_dim):
+    if case == "patch":
+        grid = _coherent_patch()
+    else:
+        state = (
+            quantum.squeezed_state(0.5, 60) if case == "squeezed" else quantum.cat_state(1.5, 60)
+        )
+        grid = synth_grid(state, (-9.0, 9.0, 91), (-9.0, 9.0, 91))
+    synthesized = []
+
+    def recording(rho, chain):
+        values = synthesize(rho, chain)
+        synthesized.append(values)
+        return values
+
+    synthesize = wigner._synthesize
+    monkeypatch.setattr(wigner, "_synthesize", recording)
+    report = reconstruct(grid, dim)
+    rho, ref_dim, residual, resynth = _two_chain_reconstruct(grid, dim)
+    assert report.dim == ref_dim == final_dim
+    assert report.rho.tobytes() == rho.tobytes()
+    assert report.residual == residual
+    assert len(synthesized) == 1
+    assert synthesized[0].tobytes() == resynth.tobytes()
 
 
 def test_qfi_from_grid_vacuum():
@@ -355,7 +468,7 @@ def test_streamed_kernels_match_fock_kernel(rng, dim, x_axis, p_axis):
     w = wigner.synth_values(rho, xs, ps)
     assert np.max(np.abs(w - w_oracle)) < 1e-10
     grid = WignerGrid(*x_axis, *p_axis, values)
-    overlaps = wigner._overlap_reconstruct(grid, dim)
+    overlaps = wigner._overlap_reconstruct(grid, wigner._position_chain(dim, xs, ps))
     assert np.max(np.abs(overlaps - overlaps_oracle)) < 1e-10
 
 
@@ -385,7 +498,8 @@ def test_grid_outside_support_gives_zeros():
     assert values.shape == (33, 33)
     assert np.array_equal(values, np.zeros((33, 33)))
     grid = WignerGrid(*x_axis, *p_axis, np.ones((33, 33)))
-    assert np.array_equal(wigner._overlap_reconstruct(grid, 40), np.zeros((40, 40)))
+    chain = wigner._position_chain(40, grid.x_axis, grid.p_axis)
+    assert np.array_equal(wigner._overlap_reconstruct(grid, chain), np.zeros((40, 40)))
 
 
 @given(
