@@ -29,7 +29,7 @@ fit = fit_fringe(FringeScan.from_raw(s, counts))
 print(f"fitted visibility {fit.visibility:.4f} (true 0.25), "
       f"wavenumber {fit.wavenumber:.4e} 1/m, rms {fit.residual_rms:.1e}")
 
-report = diffraction_sizes(setup, visibility=fit.visibility)
+report = diffraction_sizes(replace(setup, visibility=fit.visibility))
 print()
 print(f"QFI bound            {report.inputs['qfi_bound']:.3e} kg^2 m^2")
 print(f"coherence length     {report.inputs['coherence_length'] * 1e9:.1f} nm "

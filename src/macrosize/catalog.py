@@ -108,26 +108,35 @@ def nucleon_partition_comparison(
 
 
 @dataclass(frozen=True)
-class SurveyRow:
+class SizePoint:
+    """The two sizes of one system, with its published values where there are any.
+
+    A point without published values has None for ``expected_*``,
+    ``tolerance_class`` and both deviations.
+    """
+
     label: str
-    kind: str  # experiment | proposal
+    kind: str  # experiment | proposal | thought-experiment
     n_ext: float
     n_ent: float
-    expected_n_ext: float
-    expected_n_ent: float
-    tolerance_class: str  # tight (10%) | order (one order of magnitude)
+    expected_n_ext: float | None = None
+    expected_n_ent: float | None = None
+    tolerance_class: str | None = None  # tight (10%) | order (one order of magnitude)
     note: str = ""
     inputs: Mapping = field(default_factory=dict)
 
     @property
-    def deviation_ext(self) -> float:
-        return abs(self.n_ext - self.expected_n_ext) / self.expected_n_ext
+    def deviation_ext(self) -> float | None:
+        return _deviation(self.n_ext, self.expected_n_ext)
 
     @property
-    def deviation_ent(self) -> float:
-        return abs(self.n_ent - self.expected_n_ent) / self.expected_n_ent
+    def deviation_ent(self) -> float | None:
+        return _deviation(self.n_ent, self.expected_n_ent)
 
     def within_tolerance(self) -> bool:
+        """Whether both sizes meet the tolerance class; True with no published values."""
+        if self.tolerance_class is None:
+            return True
         if self.tolerance_class == "tight":
             return self.deviation_ext <= 0.10 and self.deviation_ent <= 0.10
         ratios = (
@@ -137,10 +146,14 @@ class SurveyRow:
         return all(0.1 <= r <= 10.0 for r in ratios)
 
 
+def _deviation(value: float, expected: float | None) -> float | None:
+    return None if expected is None else abs(value - expected) / expected
+
+
 def _thermal_row(label, kind, mode_mass, zero_point, nbar, n_k, delta_u, expected, note=""):
     mode = OscillatorMode(mode_mass=mode_mass, zero_point=zero_point, mode_particle_number=n_k)
     report = oscillator.thermal_sizes(mode, nbar, delta_u)
-    return report, SurveyRow(
+    return SizePoint(
         label=label,
         kind=kind,
         n_ext=report.n_ext,
@@ -153,7 +166,7 @@ def _thermal_row(label, kind, mode_mass, zero_point, nbar, n_k, delta_u, expecte
     )
 
 
-def table1() -> list[SurveyRow]:
+def table1() -> list[SizePoint]:
     """Recompute the oscillator survey from embedded parameters.
 
     Eight rows reproduce the published estimates within 10% from the
@@ -161,7 +174,7 @@ def table1() -> list[SurveyRow]:
     order-of-magnitude tolerances with the discrepancy mechanism noted.
     """
     c = constants()
-    rows: list[SurveyRow] = []
+    rows: list[SizePoint] = []
 
     # Trapped ion: ideal even cat alpha = 5.9 as the QFI oracle; the
     # published 1.5e9 rests on an experimental QFI lower bound that is
@@ -172,43 +185,38 @@ def table1() -> list[SurveyRow]:
     ion_mode = OscillatorMode.from_mass_and_omega(ion_mass, ion_omega, 1.0)
     fhat_cat = 2.0 * (4.0 * alpha**2 + 1.0)  # vacuum => 2 convention
     ion_report = oscillator.measured_qfi_sizes(ion_mode, fhat_cat, vacuum_reference=2.0)
-    rows.append(
-        SurveyRow(
-            label="Kienzler 2016 (trapped ion)",
-            kind="experiment",
-            n_ext=ion_report.n_ext,
-            n_ent=1.0,  # single particle, pure state: QFI = 4 Var exactly
-            expected_n_ext=1.5e9,
-            expected_n_ent=1.0,
-            tolerance_class="order",
-            note=(
-                "published value uses an unstated experimental QFI lower bound; "
-                "ideal-cat oracle (alpha = 5.9) gives the same order"
-            ),
-            inputs={"alpha": alpha, "mode_mass": ion_mass, "zero_point": ion_mode.zero_point},
-        )
-    )
+    rows.append(SizePoint(
+        label="Kienzler 2016 (trapped ion)",
+        kind="experiment",
+        n_ext=ion_report.n_ext,
+        n_ent=1.0,  # single particle, pure state: QFI = 4 Var exactly
+        expected_n_ext=1.5e9,
+        expected_n_ent=1.0,
+        tolerance_class="order",
+        note=(
+            "published value uses an unstated experimental QFI lower bound; "
+            "ideal-cat oracle (alpha = 5.9) gives the same order"
+        ),
+        inputs={"alpha": alpha, "mode_mass": ion_mass, "zero_point": ion_mode.zero_point},
+    ))
 
-    _, row = _thermal_row(
+    rows.append(_thermal_row(
         "Teufel 2011 (drum)", "experiment",
         mode_mass=1.3e-14, zero_point=7.8e-15, nbar=0.34, n_k=2.9e11,
         delta_u=oscillator.DELTA_U_PRESETS["Al"], expected=(7.9e17, 3.7e4),
-    )
-    rows.append(row)
+    ))
 
-    _, row = _thermal_row(
+    rows.append(_thermal_row(
         "Verhagen 2012 (toroid)", "experiment",
         mode_mass=3.2e-12, zero_point=1.8e-16, nbar=1.7, n_k=9.8e13,
         delta_u=oscillator.DELTA_U_PRESETS["SiO2"], expected=(1.0e19, 1.2e3),
-    )
-    rows.append(row)
+    ))
 
-    _, row = _thermal_row(
+    rows.append(_thermal_row(
         "Ringbauer 2018 (membrane)", "experiment",
         mode_mass=1.1e-10, zero_point=8.3e-16, nbar=6.0e7, n_k=3.5e15,
         delta_u=oscillator.DELTA_U_PRESETS["Si3N4"], expected=(9.8e15, 5.0e-2),
-    )
-    rows.append(row)
+    ))
 
     # Six drums sharing a collective mode.  The listed collective mass and
     # particle number are inconsistent with (omega, zero_point); the
@@ -225,23 +233,21 @@ def table1() -> list[SurveyRow]:
         cheg_mode, nbar=0.4, delta_u=oscillator.DELTA_U_PRESETS["Al"]
     )
     cheg = oscillator.collective_scaling(cheg_base, 6)
-    rows.append(
-        SurveyRow(
-            label="Chegnizadeh 2024 (six drums)",
-            kind="experiment",
-            n_ext=cheg.n_ext,
-            n_ent=cheg.n_ent,
-            expected_n_ext=2.4e22,
-            expected_n_ent=1.1e6,
-            tolerance_class="order",
-            note=(
-                "listed collective mode mass 5.0e-11 kg is inconsistent with "
-                "(omega, zero_point); per-drum mass hbar/(2 omega dX_zp^2) = "
-                f"{per_drum_mass:.2e} kg used, then x36 / x6 collective scaling"
-            ),
-            inputs=dict(cheg.inputs),
-        )
-    )
+    rows.append(SizePoint(
+        label="Chegnizadeh 2024 (six drums)",
+        kind="experiment",
+        n_ext=cheg.n_ext,
+        n_ent=cheg.n_ent,
+        expected_n_ext=2.4e22,
+        expected_n_ent=1.1e6,
+        tolerance_class="order",
+        note=(
+            "listed collective mode mass 5.0e-11 kg is inconsistent with "
+            "(omega, zero_point); per-drum mass hbar/(2 omega dX_zp^2) = "
+            f"{per_drum_mass:.2e} kg used, then x36 / x6 collective scaling"
+        ),
+        inputs=dict(cheg.inputs),
+    ))
 
     # HBAR resonator with a measured non-Gaussian state.  The published
     # sizes correspond to the dimensionless QFI 7.0 quoted for quadratures
@@ -256,19 +262,17 @@ def table1() -> list[SurveyRow]:
         delta_u=oscillator.DELTA_U_PRESETS["sapphire"],
         vacuum_reference=4.0,
     )
-    rows.append(
-        SurveyRow(
-            label="Bild 2023 (HBAR)",
-            kind="experiment",
-            n_ext=bild.n_ext,
-            n_ent=bild.n_ent,
-            expected_n_ext=1.5e21,
-            expected_n_ent=2.0e3,
-            tolerance_class="tight",
-            note="measured QFI 7.0 read in the zero-point-scaled convention (vacuum => 4)",
-            inputs=dict(bild.inputs),
-        )
-    )
+    rows.append(SizePoint(
+        label="Bild 2023 (HBAR)",
+        kind="experiment",
+        n_ext=bild.n_ext,
+        n_ent=bild.n_ent,
+        expected_n_ext=1.5e21,
+        expected_n_ent=2.0e3,
+        tolerance_class="tight",
+        note="measured QFI 7.0 read in the zero-point-scaled convention (vacuum => 4)",
+        inputs=dict(bild.inputs),
+    ))
 
     rossi = oscillator.levitated_sizes(
         mass=1.2e-18,
@@ -277,39 +281,34 @@ def table1() -> list[SurveyRow]:
         atom_count=3.6e7,
         delta_u=oscillator.DELTA_U_PRESETS["SiO2"],
     )
-    rows.append(
-        SurveyRow(
-            label="Rossi 2024 (levitated)",
-            kind="experiment",
-            n_ext=rossi.n_ext,
-            n_ent=rossi.n_ent,
-            expected_n_ext=9.9e17,
-            expected_n_ent=1.3e7,
-            tolerance_class="tight",
-            inputs=dict(rossi.inputs),
-        )
-    )
+    rows.append(SizePoint(
+        label="Rossi 2024 (levitated)",
+        kind="experiment",
+        n_ext=rossi.n_ext,
+        n_ent=rossi.n_ent,
+        expected_n_ext=9.9e17,
+        expected_n_ent=1.3e7,
+        tolerance_class="tight",
+        inputs=dict(rossi.inputs),
+    ))
 
-    _, row = _thermal_row(
+    rows.append(_thermal_row(
         "Pikovski 2012 (proposal)", "proposal",
         mode_mass=1.0e-11, zero_point=2.9e-15, nbar=30.0, n_k=3.0e14,
         delta_u=oscillator.DELTA_U_DEFAULT, expected=(1.8e21, 4.1e5),
-    )
-    rows.append(row)
+    ))
 
-    _, row = _thermal_row(
+    rows.append(_thermal_row(
         "Tobar 2024a (bar, 100 Hz)", "proposal",
         mode_mass=7.5, zero_point=1.1e-19, nbar=0.0, n_k=5.0e26,
         delta_u=oscillator.DELTA_U_DEFAULT, expected=(8.2e37, 5.6e10),
-    )
-    rows.append(row)
+    ))
 
-    _, row = _thermal_row(
+    rows.append(_thermal_row(
         "Tobar 2024b (bar, 1.1 kHz)", "proposal",
         mode_mass=2.6e4, zero_point=5.5e-22, nbar=0.0, n_k=1.7e29,
         delta_u=oscillator.DELTA_U_DEFAULT, expected=(2.6e40, 5.1e8),
-    )
-    rows.append(row)
+    ))
 
     return rows
 
@@ -426,17 +425,6 @@ def nh_rate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DatasetPoint:
-    label: str
-    n_ext: float
-    n_ent: float
-    kind: str
-    deviation_ext: float | None = None
-    deviation_ent: float | None = None
-    note: str = ""
-
-
 def fein_setup() -> TalbotLauSetup:
     """25 kDa-molecule interferometer: 2000-atom molecules, 266 nm grating."""
     c = constants()
@@ -452,7 +440,7 @@ def fein_setup() -> TalbotLauSetup:
     )
 
 
-def bose_proposal_point() -> DatasetPoint:
+def bose_proposal_point() -> SizePoint:
     """Gravitationally entangled microspheres: 1e-14 kg, 250 um separation.
 
     No published entangled-size value exists; the full-cat-regime atom
@@ -463,7 +451,7 @@ def bose_proposal_point() -> DatasetPoint:
     separation = 250e-6
     n_ext = (mass * separation / (2.0 * c.Q0)) ** 2
     n_atoms = mass / (12.0 * c.m_u)
-    return DatasetPoint(
+    return SizePoint(
         label="Bose 2017 (gravity proposal)",
         n_ext=n_ext,
         n_ent=n_atoms,
@@ -472,49 +460,31 @@ def bose_proposal_point() -> DatasetPoint:
     )
 
 
-def figure_dataset() -> list[DatasetPoint]:
+def figure_dataset() -> list[SizePoint]:
     """All systems: survey rows, crystal (momentum and position), the
     diffraction experiment, and the gravity proposal."""
-    points: list[DatasetPoint] = []
-    for row in table1():
-        points.append(
-            DatasetPoint(
-                label=row.label,
-                n_ext=row.n_ext,
-                n_ent=row.n_ent,
-                kind=row.kind,
-                deviation_ext=row.deviation_ext,
-                deviation_ent=row.deviation_ent,
-                note=row.note,
-            )
-        )
     crystal = leggett_crystal(leggett_scenario())
-    points.append(
-        DatasetPoint(
+    fein = diffraction_sizes(fein_setup())
+    return table1() + [
+        SizePoint(
             label="Leggett 2016, t=0 (momentum)",
+            kind="thought-experiment",
             n_ext=crystal["n_ext_momentum"],
             n_ent=crystal["n_ent_momentum"],
-            kind="thought-experiment",
             note="momentum observable",
-        )
-    )
-    points.append(
-        DatasetPoint(
+        ),
+        SizePoint(
             label="Leggett 2016, t=1s (position)",
+            kind="thought-experiment",
             n_ext=crystal["n_ext_position"],
             n_ent=crystal["n_ent_position"],
-            kind="thought-experiment",
-        )
-    )
-    fein = diffraction_sizes(fein_setup())
-    points.append(
-        DatasetPoint(
+        ),
+        SizePoint(
             label="Fein 2019 (diffraction)",
+            kind="experiment",
             n_ext=fein.n_ext,
             n_ent=fein.n_ent,
-            kind="experiment",
             note="lower bounds from fringe statistics",
-        )
-    )
-    points.append(bose_proposal_point())
-    return points
+        ),
+        bose_proposal_point(),
+    ]

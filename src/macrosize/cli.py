@@ -200,6 +200,22 @@ def load_config(path, schema: Mapping[str, tuple[str, bool]]) -> dict:
     return parse_config(read_config(path), schema)
 
 
+def variant_values(cfg: Mapping, label: str, variant: str, keys_of: Mapping) -> dict:
+    """The values in ``cfg`` of the keys ``keys_of[variant]``; an unknown variant,
+    a missing key, or a key that only another variant takes is a ConfigError."""
+    if variant not in keys_of:
+        raise ConfigError(f"unknown {label} {variant!r}; choose from {sorted(keys_of)}")
+    keys = keys_of[variant]
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ConfigError(f"{variant} config is missing keys {missing}")
+    others = {key for other in keys_of.values() for key in other} - set(keys)
+    foreign = sorted(others & set(cfg))
+    if foreign:
+        raise ConfigError(f"{variant} config does not take keys {foreign}")
+    return {key: cfg[key] for key in keys}
+
+
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -216,6 +232,8 @@ MODE_SCHEMA = {
 
 def build_mode(cfg: Mapping, out: Output) -> oscillator.OscillatorMode:
     """The mode of a ``MODE_SCHEMA`` config, from its zero-point spread or frequency."""
+    if "zero_point" in cfg and "frequency" in cfg:
+        raise ConfigError("give zero_point or frequency, not both")
     if "zero_point" in cfg:
         return oscillator.OscillatorMode(
             mode_mass=cfg["mode_mass"],
@@ -275,7 +293,8 @@ def cmd_measure(args, out: Output) -> int:
         out.note("n_ext normalized to a unit spin observable (A0 = 1)")
     elif system == "fock":
         dim = cfg["dim"]
-        params = {k: cfg[k] for k in ("alpha", "nbar", "r", "n") if k in cfg}
+        parameters = {kind: names for kind, (names, _build) in quantum.STATE_BUILDERS.items()}
+        params = variant_values(cfg, "state kind", cfg["kind"], parameters)
         rho = quantum.make_state(cfg["kind"], dim, **params)
         _a, x_op, p_op = quantum.fock_operators(dim, nu=0.5, hbar=1.0)
         theta, result = qfi_max_quadrature(rho, x_op, p_op)
@@ -346,7 +365,11 @@ DIFFRACTION_SCHEMA = {
 
 def cmd_diffraction(args, out: Output) -> int:
     cfg = load_config(args.config, DIFFRACTION_SCHEMA)
+    if args.scan and "visibility" in cfg:
+        raise ConfigError("a fringe scan gives the visibility; drop the visibility key")
     if "flight_time" in cfg:
+        if "flight_distance" in cfg or "speed" in cfg:
+            raise ConfigError("give flight_time or (flight_distance and speed), not both")
         flight_time = cfg["flight_time"]
     elif "flight_distance" in cfg and "speed" in cfg:
         flight_time = cfg["flight_distance"] / cfg["speed"]
@@ -407,25 +430,12 @@ OSCILLATOR_SCHEMA = {
     "mode": (TEXT, OPTIONAL),
 }
 
-# shape -> (constructor, dimension keys in the constructor's order)
-GEOMETRIES = {
-    "circular-drum": (oscillator.circular_drum, ("radius", "thickness")),
-    "square-drum": (oscillator.square_drum, ("side", "thickness")),
-    "torus": (oscillator.torus_body, ("minor_radius", "major_radius")),
-    "uniform": (oscillator.uniform_body, ("volume",)),
-}
-
 
 def cmd_oscillator(args, out: Output) -> int:
     cfg = load_config(args.config, OSCILLATOR_SCHEMA)
-    shape = cfg["shape"]
-    if shape not in GEOMETRIES:
-        raise ConfigError(f"unknown shape {shape!r}")
-    build, keys = GEOMETRIES[shape]
-    missing = [key for key in keys if key not in cfg]
-    if missing:
-        raise ConfigError(f"{shape} config is missing dimension keys {missing}")
-    geom = build(*(cfg[key] for key in keys), cfg["density"], cfg["atomic_mass"])
+    keys_of = {shape: spec.keys for shape, spec in oscillator.SHAPES.items()}
+    dims = variant_values(cfg, "shape", cfg["shape"], keys_of)
+    geom = oscillator.ModeGeometry(cfg["shape"], dims, cfg["density"], cfg["atomic_mass"])
     mode = oscillator.mode_volume(geom, cfg.get("mode", "fundamental"), omega=cfg["frequency"])
     out.note("frequencies given in Hz are converted to rad/s (x 2 pi)")
     report = oscillator.thermal_sizes(

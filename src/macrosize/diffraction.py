@@ -249,26 +249,22 @@ def cm_spread(setup: TalbotLauSetup) -> tuple[float, float]:
     return dx1, dx2
 
 
-def diffraction_sizes(
-    setup: TalbotLauSetup,
-    scan: FringeScan | None = None,
-    visibility: float | None = None,
-) -> SizeReport:
+def diffraction_sizes(setup: TalbotLauSetup, scan: FringeScan | None = None) -> SizeReport:
     """Full chain: fringe statistics -> QFI bound -> sizes.
 
     Visibility and wavenumber come from a fitted ``scan`` when given;
-    otherwise the visibility is the explicit argument or the setup's, and
-    the wavenumber is the grating's.  All outputs are lower bounds.
+    otherwise they are the setup's visibility and the grating's wavenumber.
+    All outputs are lower bounds.
     """
     if scan is not None:
         fit = fit_fringe(scan)
         visibility = fit.visibility
         wavenumber = fit.wavenumber
     else:
-        visibility = setup.visibility if visibility is None else visibility
+        visibility = setup.visibility
         wavenumber = setup.wavenumber
         if visibility is None:
-            raise DomainError("need a fringe scan or an explicit visibility")
+            raise DomainError("need a fringe scan or a setup visibility")
     fi_cl = fi_bound(setup.open_fraction, visibility, wavenumber)
     f_q = qfi_bound(fi_cl, setup.flight_time)
     chi = coherence_length(f_q, setup.mass)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,9 +38,67 @@ DELTA_U_PRESETS: Mapping[str, float] = {
 DELTA_U_DEFAULT = 1.0e-11
 
 
+def _disc_quadrature(dims: Mapping[str, float], rtol: float) -> float:
+    from scipy import integrate
+    from scipy.special import j0
+
+    radius = dims["radius"]
+    integrand = lambda r: j0(BESSEL_J0_FIRST_ZERO * r / radius) ** 2 * 2.0 * r
+    return integrate.quad(integrand, 0.0, radius, epsrel=rtol)[0] / radius**2
+
+
+def _square_quadrature(dims: Mapping[str, float], rtol: float) -> float:
+    from scipy import integrate
+
+    side = dims["side"]
+
+    def integrand(y, x):
+        return (math.sin(math.pi * x / side) * math.sin(math.pi * y / side)) ** 2
+
+    return integrate.dblquad(integrand, 0.0, side, 0.0, side, epsrel=rtol)[0] / side**2
+
+
+class Shape(NamedTuple):
+    """Dimension keys, volume formula and fundamental-mode volume fraction.
+
+    ``volume`` takes the dimension keys as keyword arguments.
+    ``quadrature(dimensions, rtol)`` integrates the fundamental mode's w^2
+    numerically (scipy, imported on that call only); None where w is constant.
+    """
+
+    keys: tuple[str, ...]
+    volume: Callable[..., float]
+    fundamental_fraction: float
+    quadrature: Callable[[Mapping[str, float], float], float] | None = None
+
+
+# The one declaration of each body shape.  Inhomogeneous bodies (torus,
+# uniform) are handled with a constant mode function.
+SHAPES: Mapping[str, Shape] = {
+    "circular-drum": Shape(
+        ("radius", "thickness"),
+        lambda radius, thickness: math.pi * radius**2 * thickness,
+        CIRCULAR_DRUM_VOLUME_FRACTION,
+        _disc_quadrature,
+    ),
+    "square-drum": Shape(
+        ("side", "thickness"),
+        lambda side, thickness: side**2 * thickness,
+        0.25,
+        _square_quadrature,
+    ),
+    "torus": Shape(
+        ("minor_radius", "major_radius"),
+        lambda minor_radius, major_radius: 2.0 * math.pi**2 * minor_radius**2 * major_radius,
+        1.0,
+    ),
+    "uniform": Shape(("volume",), lambda volume: volume, 1.0),
+}
+
+
 @dataclass(frozen=True)
 class ModeGeometry:
-    """Shape, density and mean atomic mass of an oscillating body."""
+    """Shape, dimensions (exactly ``SHAPES[shape].keys``), density and mean atomic mass."""
 
     shape: str
     dimensions: Mapping[str, float]
@@ -48,6 +106,15 @@ class ModeGeometry:
     mean_atomic_mass: float
 
     def __post_init__(self):
+        if self.shape not in SHAPES:
+            raise DomainError(
+                f"unknown geometry shape {self.shape!r}; choose from {sorted(SHAPES)}"
+            )
+        keys = SHAPES[self.shape].keys
+        if set(self.dimensions) != set(keys):
+            raise DomainError(
+                f"{self.shape} takes dimensions {list(keys)}, got {sorted(self.dimensions)}"
+            )
         if self.density <= 0:
             raise DomainError(f"density must be positive, got {self.density}")
         if self.mean_atomic_mass <= 0:
@@ -60,16 +127,7 @@ class ModeGeometry:
 
     @property
     def volume(self) -> float:
-        d = self.dimensions
-        if self.shape == "circular-drum":
-            return math.pi * d["radius"] ** 2 * d["thickness"]
-        if self.shape == "square-drum":
-            return d["side"] ** 2 * d["thickness"]
-        if self.shape == "uniform":
-            return d["volume"]
-        if self.shape == "torus":
-            return 2.0 * math.pi**2 * d["minor_radius"] ** 2 * d["major_radius"]
-        raise DomainError(f"unknown geometry shape {self.shape!r}")
+        return SHAPES[self.shape].volume(**self.dimensions)
 
     @property
     def total_mass(self) -> float:
@@ -92,19 +150,6 @@ def circular_drum(radius, thickness, density, mean_atomic_mass) -> ModeGeometry:
 def square_drum(side, thickness, density, mean_atomic_mass) -> ModeGeometry:
     return ModeGeometry(
         "square-drum", {"side": side, "thickness": thickness}, density, mean_atomic_mass
-    )
-
-
-def uniform_body(volume, density, mean_atomic_mass) -> ModeGeometry:
-    return ModeGeometry("uniform", {"volume": volume}, density, mean_atomic_mass)
-
-
-def torus_body(minor_radius, major_radius, density, mean_atomic_mass) -> ModeGeometry:
-    return ModeGeometry(
-        "torus",
-        {"minor_radius": minor_radius, "major_radius": major_radius},
-        density,
-        mean_atomic_mass,
     )
 
 
@@ -140,40 +185,12 @@ class OscillatorMode:
         return cls(mode_mass, zp, mode_particle_number, omega, mode_volume)
 
 
-def _fundamental_volume_fraction(geometry: ModeGeometry) -> float:
-    if geometry.shape == "circular-drum":
-        return CIRCULAR_DRUM_VOLUME_FRACTION
-    if geometry.shape == "square-drum":
-        return 0.25
-    if geometry.shape in ("uniform", "torus"):
-        # Inhomogeneous bodies are handled with a constant mode function.
-        return 1.0
-    raise DomainError(f"no fundamental mode formula for shape {geometry.shape!r}")
-
-
 def _quadrature_volume_fraction(geometry: ModeGeometry, rtol: float = 1e-6) -> float:
     """Integrate w^2 over the footprint numerically (fundamental modes)."""
-    from scipy import integrate
-    from scipy.special import j0
-
-    if geometry.shape == "circular-drum":
-        radius = geometry.dimensions["radius"]
-        integrand = lambda r: j0(BESSEL_J0_FIRST_ZERO * r / radius) ** 2 * 2.0 * r
-        value, _ = integrate.quad(integrand, 0.0, radius, epsrel=rtol)
-        return value / radius**2
-    if geometry.shape == "square-drum":
-        side = geometry.dimensions["side"]
-        value, _ = integrate.dblquad(
-            lambda y, x: (math.sin(math.pi * x / side) * math.sin(math.pi * y / side))
-            ** 2,
-            0.0,
-            side,
-            0.0,
-            side,
-            epsrel=rtol,
-        )
-        return value / side**2
-    raise DomainError(f"no quadrature route for shape {geometry.shape!r}")
+    quadrature = SHAPES[geometry.shape].quadrature
+    if quadrature is None:
+        raise DomainError(f"no quadrature route for shape {geometry.shape!r}")
+    return quadrature(geometry.dimensions, rtol)
 
 
 def mode_volume(
@@ -196,7 +213,7 @@ def mode_volume(
         fraction = (
             _quadrature_volume_fraction(geometry)
             if numerical
-            else _fundamental_volume_fraction(geometry)
+            else SHAPES[geometry.shape].fundamental_fraction
         )
     else:
         raise DomainError(f"unknown mode {mode!r}")

@@ -65,19 +65,20 @@ def max_asymmetry(matrix: np.ndarray) -> float:
     return float(np.max(panel_maxima))
 
 
-def is_hermitian(matrix: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(matrix)))) if np.asarray(matrix).size else 1.0
-    return max_asymmetry(matrix) <= HERMITICITY_ATOL * scale
-
-
 def require_hermitian(matrix: np.ndarray, name: str = "operator") -> np.ndarray:
+    """``matrix`` as a complex array if square with max asymmetry <= ATOL * max(1, max|m_ij|).
+
+    The scale is read only when the asymmetry exceeds ATOL (HERMITICITY_ATOL),
+    since it is at least 1.  A NaN asymmetry fails.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"{name} must be a square matrix, got shape {matrix.shape}")
-    if not is_hermitian(matrix):
-        raise DomainError(
-            f"{name} is not Hermitian: max asymmetry {max_asymmetry(matrix):.3e}"
-        )
+    asymmetry = max_asymmetry(matrix)
+    if not asymmetry <= HERMITICITY_ATOL:
+        scale = max(1.0, float(np.max(np.abs(matrix))))
+        if not asymmetry <= HERMITICITY_ATOL * scale:
+            raise DomainError(f"{name} is not Hermitian: max asymmetry {asymmetry:.3e}")
     return matrix
 
 
@@ -312,27 +313,27 @@ def squeezed_state(r: float, dim: int) -> np.ndarray:
     return _pure_state(lambda d: squeezed_amplitudes(r, d), dim, 1.0, f"squeezed r={r}")
 
 
-_STATE_BUILDERS = {
+# kind -> (its parameter names, builder(dim, **parameters))
+STATE_BUILDERS = {
     "vacuum": ((), lambda dim: vacuum_state(dim)),
-    "number": (("n",), lambda dim, n=0: number_state(int(n), dim)),
-    "coherent": (("alpha",), lambda dim, alpha=1.0: coherent_state(alpha, dim)),
-    "cat": (("alpha",), lambda dim, alpha=1.0: cat_state(alpha, dim)),
-    "thermal": (("nbar",), lambda dim, nbar=0.0: thermal_state(nbar, dim)),
-    "squeezed": (("r",), lambda dim, r=0.0: squeezed_state(r, dim)),
+    "number": (("n",), lambda dim, n: number_state(int(n), dim)),
+    "coherent": (("alpha",), lambda dim, alpha: coherent_state(alpha, dim)),
+    "cat": (("alpha",), lambda dim, alpha: cat_state(alpha, dim)),
+    "thermal": (("nbar",), lambda dim, nbar: thermal_state(nbar, dim)),
+    "squeezed": (("r",), lambda dim, r: squeezed_state(r, dim)),
 }
 
 
 def make_state(kind: str, dim: int, **params) -> np.ndarray:
     """Dispatch constructor: kind in {vacuum, number, coherent, cat, thermal, squeezed}."""
     try:
-        allowed, builder = _STATE_BUILDERS[kind]
+        names, builder = STATE_BUILDERS[kind]
     except KeyError:
         raise DomainError(
-            f"unknown state kind {kind!r}; choose from {sorted(_STATE_BUILDERS)}"
+            f"unknown state kind {kind!r}; choose from {sorted(STATE_BUILDERS)}"
         ) from None
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise DomainError(f"{kind} state does not take parameters {unknown}")
+    if set(params) != set(names):
+        raise DomainError(f"{kind} state takes parameters {list(names)}, got {sorted(params)}")
     if dim < 2 or dim > DIM_CAP:
         raise DomainError(f"dim must be in [2, {DIM_CAP}], got {dim}")
     return builder(dim, **params)

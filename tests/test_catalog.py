@@ -234,6 +234,15 @@ def test_figure_dataset_contents():
     assert kinds == {"experiment", "proposal", "thought-experiment"}
 
 
+def test_figure_dataset_starts_with_table1():
+    points = figure_dataset()
+    assert points[:10] == table1()
+    for point in points[10:]:
+        assert point.expected_n_ext is None and point.tolerance_class is None
+        assert point.deviation_ext is None and point.deviation_ent is None
+        assert point.within_tolerance()
+
+
 def test_deviation_report_monotone_safe():
     # Computed values and deviations never depend on the tolerance class;
     # tightening a class can only add flags.

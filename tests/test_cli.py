@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import macrosize
-from macrosize import quantum, wigner
-from macrosize.cli import main
+from macrosize import oscillator, quantum, wigner
+from macrosize.cli import MEASURE_SCHEMAS, OSCILLATOR_SCHEMA, main
 
 
 def run_cli(args, capsys):
@@ -345,6 +345,127 @@ def test_oscillator_missing_dimension_key(tmp_path, capsys):
     code, _out, err = run_cli(["oscillator", cfg], capsys)
     assert code == 2
     assert "radius" in err
+
+
+def test_oscillator_runs_each_shape_with_delta_u(tmp_path, capsys):
+    # delta_u is a length but not a dimension of any shape.
+    dims = {
+        "circular-drum": {"radius": "7.5e-6 m", "thickness": "1.0e-7 m"},
+        "square-drum": {"side": "1.7e-3 m", "thickness": "5e-8 m"},
+        "torus": {"minor_radius": "1e-6 m", "major_radius": "2e-5 m"},
+        "uniform": {"volume": "1e-15 m3"},
+    }
+    assert set(dims) == set(oscillator.SHAPES)
+    base = {k: v for k, v in TEUFEL_GEOMETRY.items() if k not in ("radius", "thickness")}
+    for shape, shape_dims in dims.items():
+        cfg = write_json(tmp_path / f"{shape}.json", dict(base, shape=shape, **shape_dims))
+        assert run_cli(["oscillator", cfg], capsys)[0] == 0
+
+
+def test_config_keys_match_variant_tables():
+    # The oscillator schema's dimension keys are exactly the shapes' keys, and
+    # the fock schema's parameters exactly the state kinds' parameters.
+    shared = {"shape", "density", "atomic_mass", "frequency", "nbar", "delta_u", "mode"}
+    shape_keys = {key for spec in oscillator.SHAPES.values() for key in spec.keys}
+    assert set(OSCILLATOR_SCHEMA) - shared == shape_keys
+    kind_params = {name for names, _build in quantum.STATE_BUILDERS.values() for name in names}
+    assert set(MEASURE_SCHEMAS["fock"]) - {"system", "kind", "dim"} == kind_params
+
+
+# ---------------------------------------------------------------------------
+# keys of another variant, and keys given together with their alternative
+# ---------------------------------------------------------------------------
+
+TEUFEL_MODE = {
+    "system": "oscillator",
+    "mode_mass": "1.3e-14 kg",
+    "zero_point": "7.8e-15 m",
+    "nbar": 0.34,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            ["oscillator"],
+            dict(TEUFEL_GEOMETRY, side="1e-3 m", volume="1e-15 m3"),
+            "circular-drum config does not take keys ['side', 'volume']",
+        ),
+        (["oscillator"], dict(TEUFEL_GEOMETRY, shape="hexagon"), "unknown shape 'hexagon'"),
+        (
+            ["measure"],
+            dict(TEUFEL_MODE, frequency="1.1e7 Hz"),
+            "give zero_point or frequency, not both",
+        ),
+        (
+            ["diffraction"],
+            dict(FEIN_CONFIG, flight_time="3.8e-3 s"),
+            "give flight_time or (flight_distance and speed), not both",
+        ),
+        (
+            ["diffraction"],
+            {
+                k: v
+                for k, v in dict(FEIN_CONFIG, flight_time="3.8e-3 s").items()
+                if k != "speed"
+            },
+            "give flight_time or (flight_distance and speed), not both",
+        ),
+        (
+            ["measure"],
+            {"system": "fock", "kind": "thermal", "dim": 60},
+            "thermal config is missing keys ['nbar']",
+        ),
+        (
+            ["measure"],
+            {"system": "fock", "kind": "squeezed", "dim": 60, "r": 0.5, "nbar": 1.0},
+            "squeezed config does not take keys ['nbar']",
+        ),
+        (
+            ["measure"],
+            {"system": "fock", "kind": "fock", "dim": 60},
+            "unknown state kind 'fock'",
+        ),
+    ],
+    ids=[
+        "oscillator-foreign-dimension",
+        "oscillator-unknown-shape",
+        "mode-zero-point-and-frequency",
+        "diffraction-flight-time-and-both",
+        "diffraction-flight-time-and-distance",
+        "fock-missing-parameter",
+        "fock-foreign-parameter",
+        "fock-unknown-kind",
+    ],
+)
+def test_variant_and_alternative_keys_exit_2(tmp_path, capsys, argv, doc, message):
+    cfg = write_json(tmp_path / "bad.json", doc)
+    code, out, err = run_cli([*argv, cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_wigner_mode_config_rejects_zero_point_and_frequency(tmp_path, capsys):
+    grid = wigner.synth_grid(quantum.vacuum_state(12), (-7, 7, 41), (-7, 7, 41))
+    path = tmp_path / "vacuum.wig"
+    wigner.save_grid(grid, path)
+    mode = {k: v for k, v in TEUFEL_MODE.items() if k not in ("system", "nbar")}
+    mode_cfg = write_json(tmp_path / "mode.json", dict(mode, frequency="1.1e7 Hz"))
+    code, out, err = run_cli(
+        ["wigner", str(path), "--dim", "12", "--mode-config", mode_cfg], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "not both" in err
+
+
+def test_diffraction_rejects_visibility_with_scan(tmp_path, capsys):
+    cfg = write_json(tmp_path / "fein.json", FEIN_CONFIG)
+    scan_path = write_fein_scan(tmp_path / "scan.txt")
+    code, out, err = run_cli(["diffraction", cfg, scan_path], capsys)
+    assert (code, out) == (2, "")
+    assert "drop the visibility key" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 import warnings
@@ -274,7 +275,7 @@ def test_diffraction_sizes_chain():
 
 
 def test_diffraction_sizes_zero_visibility():
-    report = diffraction_sizes(fein_setup(0.2), visibility=0.0)
+    report = diffraction_sizes(dataclasses.replace(fein_setup(0.2), visibility=0.0))
     assert report.n_ext == 0.0 and report.n_ent == 0.0
 
 

@@ -8,13 +8,14 @@ from macrosize.errors import DomainError
 from macrosize.measures import constants
 from macrosize.oscillator import (
     DELTA_U_PRESETS,
+    SHAPES,
     HarmonicChain,
+    ModeGeometry,
     OscillatorMode,
     chain_oracle,
     circular_drum,
     mode_volume,
     square_drum,
-    uniform_body,
 )
 
 C = constants()
@@ -51,7 +52,7 @@ def test_square_drum_quarter():
 
 
 def test_uniform_mode_full_volume():
-    geom = uniform_body(1e-15, density=2.65e3, mean_atomic_mass=20.0 * C.m_u)
+    geom = ModeGeometry("uniform", {"volume": 1e-15}, 2.65e3, 20.0 * C.m_u)
     mode = mode_volume(geom, "uniform")
     assert mode.mode_volume == geom.volume
     assert mode.mode_mass == pytest.approx(geom.total_mass, rel=1e-12)
@@ -61,12 +62,50 @@ def test_mode_mass_never_exceeds_total():
     for geom in (
         circular_drum(7.5e-6, 100e-9, **TEUFEL),
         square_drum(1.7e-3, 50e-9, density=3.17e3, mean_atomic_mass=20.0 * C.m_u),
-        uniform_body(1e-15, density=2.65e3, mean_atomic_mass=20.0 * C.m_u),
+        ModeGeometry("uniform", {"volume": 1e-15}, 2.65e3, 20.0 * C.m_u),
     ):
         for kind in ("fundamental", "uniform"):
             mode = mode_volume(geom, kind)
             assert mode.mode_volume <= geom.volume * (1 + 1e-12)
             assert mode.mode_mass <= geom.total_mass * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, dims, closed_form",
+    [
+        ("circular-drum", {"radius": 7.5e-6, "thickness": 1e-7}, math.pi * 7.5e-6**2 * 1e-7),
+        ("square-drum", {"side": 1.7e-3, "thickness": 5e-8}, 1.7e-3**2 * 5e-8),
+        (
+            "torus",
+            {"minor_radius": 1e-6, "major_radius": 2e-5},
+            2 * math.pi**2 * 1e-6**2 * 2e-5,
+        ),
+        ("uniform", {"volume": 1e-15}, 1e-15),
+    ],
+)
+def test_shape_volume_is_closed_form(shape, dims, closed_form):
+    assert set(dims) == set(SHAPES[shape].keys)
+    assert ModeGeometry(shape, dims, **TEUFEL).volume == closed_form
+
+
+@pytest.mark.parametrize(
+    "shape, dims, message",
+    [
+        ("hexagon", {"side": 1e-6}, "unknown geometry shape 'hexagon'"),
+        ("circular-drum", {"radius": 1.0}, "got \\['radius'\\]"),
+        ("uniform", {"volume": 1e-15, "side": 1e-6}, "got \\['side', 'volume'\\]"),
+    ],
+    ids=["unknown-shape", "missing-key", "extra-key"],
+)
+def test_geometry_rejects_unknown_shape_and_keys(shape, dims, message):
+    with pytest.raises(DomainError, match=message):
+        ModeGeometry(shape, dims, **TEUFEL)
+
+
+def test_quadrature_route_only_for_drums():
+    torus = ModeGeometry("torus", {"minor_radius": 1e-6, "major_radius": 2e-5}, **TEUFEL)
+    with pytest.raises(DomainError, match="no quadrature route"):
+        mode_volume(torus, "fundamental", numerical=True)
 
 
 def test_teufel_geometry_reproduces_mode_parameters():

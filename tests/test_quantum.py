@@ -171,6 +171,42 @@ def test_require_hermitian_message_unchanged():
         quantum.require_hermitian(m, "op")
 
 
+def _old_is_hermitian(m):
+    # The two-pass check that require_hermitian replaced.
+    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
+    return quantum.max_asymmetry(m) <= quantum.HERMITICITY_ATOL * scale
+
+
+def _accepts(m):
+    try:
+        quantum.require_hermitian(m)
+    except DomainError:
+        return False
+    return True
+
+
+def test_require_hermitian_matches_two_pass_check():
+    rng = np.random.default_rng(5)
+    atol = quantum.HERMITICITY_ATOL
+    decisions = set()
+    for trial in range(120):
+        d = int(rng.integers(1, 90))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = (g + g.conj().T) * (10.0 ** rng.uniform(-3.0, 3.0))
+        scale = max(1.0, float(np.max(np.abs(m))))
+        # Asymmetries just above and below the bound atol, and atol * scale
+        # for entries above 1.
+        bound = atol * scale if trial % 2 else atol
+        m[d - 1, 0] += rng.choice([0.9, 0.999, 1.001, 1.1]) * bound
+        if trial % 7 == 0:
+            m[int(rng.integers(d)), int(rng.integers(d))] = np.nan
+        expected = _old_is_hermitian(m)
+        assert _accepts(m) == expected
+        decisions.add(expected)
+    assert decisions == {True, False}
+    assert _accepts(np.zeros((0, 0)))
+
+
 def test_coherent_amplitudes_match_gammaln():
     from scipy.special import gammaln
 
@@ -205,6 +241,23 @@ def test_make_state_constructors_pass_invariants():
     ]:
         rho = quantum.make_state(kind, 40, **params)
         quantum.validate_density(rho)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("number", "n"),
+        ("coherent", "alpha"),
+        ("cat", "alpha"),
+        ("thermal", "nbar"),
+        ("squeezed", "r"),
+    ],
+)
+def test_make_state_names_missing_parameter(kind, name):
+    # No parameter has a default: a thermal state without nbar is not the vacuum.
+    message = rf"^{kind} state takes parameters \['{name}'\], got \[\]$"
+    with pytest.raises(DomainError, match=message):
+        quantum.make_state(kind, 40)
 
 
 def test_truncation_error_with_suggested_dim():
