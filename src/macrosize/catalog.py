@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oscillator
 from .diffraction import TalbotLauSetup, diffraction_sizes
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 from .fisher import sub_qfi_f2
 from .measures import constants, two_branch_entangled_size
 from .oscillator import OscillatorMode
@@ -38,9 +38,7 @@ class CrystalScenario:
     drift_time: float  # s of free evolution before the position analysis
 
     def __post_init__(self):
-        for name in ("n_atoms", "atom_mass", "relative_speed", "confinement", "drift_time"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        require_positive(**vars(self))  # every field is a positive quantity
 
 
 def leggett_scenario() -> CrystalScenario:
@@ -332,8 +330,8 @@ def flux_qubit(
     partition sits in the full-cat regime, N_ent ~ N_pairs.
     """
     c = constants()
-    if delta_current < 0 or circuit_length <= 0:
-        raise DomainError("need delta_current >= 0 and circuit_length > 0")
+    require_nonnegative(delta_current=delta_current)
+    require_positive(circuit_length=circuit_length)
     n_ext = (c.m_e * circuit_length * delta_current / (2.0 * c.e * c.P0)) ** 2
     return {
         "n_ext_momentum": n_ext,
@@ -359,8 +357,7 @@ class NHParams:
     critical_length: float = 100e-9  # m, l_q = hbar / sigma_q
 
     def __post_init__(self):
-        if self.n_ext <= 0 or self.coherence_time <= 0:
-            raise DomainError("n_ext and coherence_time must be positive")
+        require_positive(**vars(self))  # every field is a positive quantity
         if self.critical_length < NH_LENGTH_FLOOR:
             raise DomainError(
                 f"critical length {self.critical_length} below the "
@@ -408,8 +405,7 @@ def nh_rate(
     the output.
     """
     c = constants()
-    if sigma_q <= 0 or tau_e <= 0:
-        raise DomainError("sigma_q and tau_e must be positive")
+    require_positive(sigma_q=sigma_q, tau_e=tau_e)
     f2 = sub_qfi_f2(rho, q_operator).value
     coefficient = sigma_q**2 / (tau_e * c.m_e**2 * c.hbar**2)
     return {

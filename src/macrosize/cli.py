@@ -5,7 +5,7 @@ Subcommands: ``measure``, ``wigner``, ``diffraction``, ``oscillator``,
 against one schema table: unknown keys are rejected, every dimensionful
 quantity is a string with an explicit unit suffix (e.g. ``"1.3e-14 kg"``),
 counts are whole numbers and names are strings.  Exit codes: 0 success, 2 config or
-file-format error, 3 physics-domain error, 4 unfaithful reconstruction.
+file-format error, 3 physics-domain or out-of-range error, 4 unfaithful reconstruction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from typing import Mapping, Sequence
 
 from . import catalog, diffraction, measures, oscillator, quantum, wigner
-from .errors import ConfigError, MacrosizeError
+from .errors import ConfigError, DomainError, MacrosizeError
 from .fisher import qfi_max_quadrature
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ class Output:
         self.table_rows: list[list[str]] = []
 
     def add(self, key: str, value, unit: str = ""):
-        self.rows.append((key, value, unit))
+        self.rows.append((key, _finite(key, value), unit))
 
     def add_table(self, headers: Sequence[str], rows: Sequence[Sequence[str]]):
         self.table_headers = list(headers)
@@ -107,6 +107,13 @@ class Output:
             )
         lines.extend(f"# {note}" for note in self.notes)
         return "\n".join(lines) + "\n"
+
+
+def _finite(key: str, value):
+    """``value``, unless it is a float that is infinite or NaN: a DomainError."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{key} is not finite ({value}); the inputs are out of range")
+    return value
 
 
 def _fmt(value) -> str:
@@ -324,6 +331,11 @@ def cmd_measure(args, out: Output) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_wigner(args, out: Output) -> int:
+    # Notes render in the order they are added; a bad mode config fails
+    # before any reconstruction.
+    out.note("fhat in the vacuum => 2.0 quadrature convention")
+    cfg = load_config(args.mode_config, MODE_SCHEMA) if args.mode_config else None
+    mode = build_mode(cfg, out) if cfg is not None else None
     grid = wigner.load_grid(args.grid)
     grid.check()
     theta, fhat, report = wigner.qfi_from_grid(grid, args.dim)
@@ -332,10 +344,7 @@ def cmd_wigner(args, out: Output) -> int:
     out.add("clipped_mass", report.clipped_mass)
     out.add("theta_star", theta, "rad")
     out.add("fhat", fhat)
-    out.note("fhat in the vacuum => 2.0 quadrature convention")
-    if args.mode_config:
-        cfg = load_config(args.mode_config, MODE_SCHEMA)
-        mode = build_mode(cfg, out)
+    if mode is not None:
         sizes = oscillator.measured_qfi_sizes(
             mode, fhat, cfg.get("delta_u", oscillator.DELTA_U_DEFAULT)
         )
@@ -405,8 +414,9 @@ def cmd_diffraction(args, out: Output) -> int:
         ).n_ent
         for l0 in (0.2, 1.0)
     ]
-    lo, hi = sorted(ends)
-    out.add("n_ent_range_L0_0.2m_to_1m", f"[{lo:.6e}; {hi:.6e}]")
+    key = "n_ent_range_L0_0.2m_to_1m"
+    lo, hi = sorted(_finite(key, end) for end in ends)
+    out.add(key, f"[{lo:.6e}; {hi:.6e}]")
     return EXIT_OK
 
 
@@ -575,6 +585,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RECONSTRUCTION
     except MacrosizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:
+        # Finite inputs whose result overflows the float range or divides by zero.
+        print(f"error: the inputs are out of range ({type(exc).__name__})", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MacrosizeError
+from .errors import DomainError, MacrosizeError, require_nonnegative, require_positive
 from .measures import SizeReport, constants, extensive_size
 
 
@@ -45,9 +45,10 @@ class TalbotLauSetup:
             )
         if self.visibility is not None and not 0.0 <= self.visibility <= 1.0:
             raise DomainError(f"visibility must lie in [0, 1], got {self.visibility}")
-        for name in ("mass", "n_atoms", "grating_period", "flight_time", "source_g1", "g1_g2"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        require_positive(
+            mass=self.mass, n_atoms=self.n_atoms, grating_period=self.grating_period,
+            flight_time=self.flight_time, source_g1=self.source_g1, g1_g2=self.g1_g2,
+        )
 
     @property
     def wavenumber(self) -> float:
@@ -209,8 +210,8 @@ def fi_bound(open_fraction: float, visibility: float, wavenumber: float) -> floa
         raise DomainError(
             f"open fraction must lie strictly in (0, 1), got {open_fraction}"
         )
-    if visibility < 0 or wavenumber <= 0:
-        raise DomainError("visibility must be >= 0 and wavenumber positive")
+    require_nonnegative(visibility=visibility)
+    require_positive(wavenumber=wavenumber)
     return (
         open_fraction
         / (1.0 - open_fraction)
@@ -220,19 +221,15 @@ def fi_bound(open_fraction: float, visibility: float, wavenumber: float) -> floa
 
 def qfi_bound(fi_classical: float, flight_time: float) -> float:
     """Position-QFI lower bound (hbar t)^2 * F_cl (kg^2 m^2)."""
-    if flight_time <= 0:
-        raise DomainError(f"flight time must be positive, got {flight_time}")
-    if fi_classical < 0:
-        raise DomainError(f"classical FI must be >= 0, got {fi_classical}")
+    require_positive(flight_time=flight_time)
+    require_nonnegative(fi_classical=fi_classical)
     return (constants().hbar * flight_time) ** 2 * fi_classical
 
 
 def coherence_length(qfi_value: float, mass: float) -> float:
     """Effective coherence length chi = sqrt(F) / (2 M)."""
-    if mass <= 0:
-        raise DomainError(f"mass must be positive, got {mass}")
-    if qfi_value < 0:
-        raise DomainError(f"QFI must be >= 0, got {qfi_value}")
+    require_positive(mass=mass)
+    require_nonnegative(qfi_value=qfi_value)
     return math.sqrt(qfi_value) / (2.0 * mass)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a physical quantity."""
+
+import math
 
 
 class MacrosizeError(Exception):
@@ -20,3 +22,17 @@ class TruncationError(DomainError):
 
 class ConfigError(MacrosizeError):
     """A run configuration cannot be parsed (unknown key, bad unit, ...)."""
+
+
+def require_positive(**values: float) -> None:
+    """Raise DomainError naming the first keyword whose value is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
+def require_nonnegative(**values: float) -> None:
+    """Raise DomainError naming the first keyword whose value is not finite and >= 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise DomainError(f"{name} must be finite and >= 0, got {value}")

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quantum
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 # Spectral pairs with l_i + l_j below this times the top eigenvalue are 0/0
 # artifacts of rank deficiency and are excluded (count reported).
@@ -222,10 +222,9 @@ def classical_fi_grid(p: np.ndarray, h: float) -> FisherResult:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 3:
         raise DomainError("density must be a 1-D array with at least 3 samples")
-    if h <= 0:
-        raise DomainError(f"grid step must be positive, got {h}")
-    if np.any(p < 0):
-        raise DomainError("density has negative entries")
+    require_positive(h=h)
+    if not np.all(p >= 0):
+        raise DomainError("density has negative or NaN entries")
     total = float(np.sum(p) * h)
     if abs(total - 1.0) > 1e-6:
         raise DomainError(f"density integrates to {total!r}, expected 1 within 1e-6")

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fisher, quantum
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,8 @@ def constants() -> PhysicalConstants:
 
 def extensive_size(qfi_value: float, unit: float) -> float:
     """N_ext = F / (4 A0^2) for a QFI carrying units of A^2."""
-    if unit <= 0:
-        raise DomainError(f"normalization unit must be positive, got {unit}")
-    if qfi_value < 0:
-        raise DomainError(f"QFI must be >= 0, got {qfi_value}")
+    require_positive(unit=unit)
+    require_nonnegative(qfi_value=qfi_value)
     return qfi_value / (4.0 * unit * unit)
 
 
@@ -115,8 +113,7 @@ def witness_depth(n_ent: float) -> int:
     A value above k rules out k-producibility, so the certified depth is
     the smallest integer not below the value.
     """
-    if n_ent < 0:
-        raise DomainError(f"entangled size must be >= 0, got {n_ent}")
+    require_nonnegative(n_ent=n_ent)
     return int(math.ceil(n_ent - 1e-12))
 
 
@@ -207,14 +204,13 @@ def two_branch_entangled_size(n: float, branch_ratio: float) -> float:
     """Entangled size N r^2 / (1 + r^2) of an N-body two-branch superposition.
 
     ``branch_ratio`` is the per-particle branch separation over the
-    per-branch spread; the value grows monotonically to N as it increases.
+    per-branch spread; the value grows monotonically to N, reached at r = inf.
     """
-    if n < 1:
-        raise DomainError(f"particle count must be >= 1, got {n}")
-    if branch_ratio < 0:
-        raise DomainError(f"branch ratio must be >= 0, got {branch_ratio}")
-    if math.isinf(branch_ratio):
+    if not (math.isfinite(n) and n >= 1):
+        raise DomainError(f"particle count must be finite and >= 1, got {n}")
+    if branch_ratio == math.inf:
         return float(n)
+    require_nonnegative(branch_ratio=branch_ratio)
     r2 = branch_ratio * branch_ratio
     return float(n) * r2 / (1.0 + r2)
 

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 from .measures import SizeReport, constants
 
 # First zero of the Bessel function J0; the drum fundamental J0(b01 r / R)
@@ -115,15 +115,9 @@ class ModeGeometry:
             raise DomainError(
                 f"{self.shape} takes dimensions {list(keys)}, got {sorted(self.dimensions)}"
             )
-        if self.density <= 0:
-            raise DomainError(f"density must be positive, got {self.density}")
-        if self.mean_atomic_mass <= 0:
-            raise DomainError(
-                f"mean atomic mass must be positive, got {self.mean_atomic_mass}"
-            )
-        for key, value in self.dimensions.items():
-            if value <= 0:
-                raise DomainError(f"{self.shape} dimension {key} must be positive")
+        require_positive(
+            density=self.density, mean_atomic_mass=self.mean_atomic_mass, **self.dimensions
+        )
 
     @property
     def volume(self) -> float:
@@ -155,21 +149,23 @@ def square_drum(side, thickness, density, mean_atomic_mass) -> ModeGeometry:
 
 @dataclass(frozen=True)
 class OscillatorMode:
-    """Effective mass, spread and particle number of one vibrational mode."""
+    """Effective mass, spread and particle number of one vibrational mode.
+
+    ``zero_point`` is None for a mode built without a frequency, which has no sizes.
+    """
 
     mode_mass: float
-    zero_point: float
+    zero_point: float | None
     mode_particle_number: float = 1.0
     omega: float | None = None
     mode_volume: float | None = None
 
     def __post_init__(self):
-        if self.mode_mass <= 0:
-            raise DomainError(f"mode mass must be positive, got {self.mode_mass}")
-        if self.zero_point <= 0:
-            raise DomainError(f"zero-point spread must be positive, got {self.zero_point}")
-        if self.mode_particle_number <= 0:
-            raise DomainError("mode particle number must be positive")
+        require_positive(
+            mode_mass=self.mode_mass, mode_particle_number=self.mode_particle_number
+        )
+        if self.zero_point is not None:
+            require_positive(zero_point=self.zero_point)
 
     @classmethod
     def from_mass_and_omega(
@@ -179,8 +175,7 @@ class OscillatorMode:
         mode_particle_number: float = 1.0,
         mode_volume: float | None = None,
     ) -> "OscillatorMode":
-        if omega <= 0:
-            raise DomainError(f"frequency must be positive, got {omega}")
+        require_positive(mode_mass=mode_mass, omega=omega)
         zp = math.sqrt(constants().hbar / (2.0 * mode_mass * omega))
         return cls(mode_mass, zp, mode_particle_number, omega, mode_volume)
 
@@ -223,15 +218,13 @@ def mode_volume(
     n_k = geometry.atom_count * fraction
     if omega is not None:
         return OscillatorMode.from_mass_and_omega(m_k, omega, n_k, v_k)
-    # Without a frequency the zero-point spread is undefined; use a sentinel
-    # only through from_mass_and_omega.  Here we require omega for sizes.
-    return OscillatorMode(
-        mode_mass=m_k,
-        zero_point=float("nan"),
-        mode_particle_number=n_k,
-        omega=None,
-        mode_volume=v_k,
-    )
+    return OscillatorMode(m_k, None, n_k, None, v_k)
+
+
+def _zero_point(mode: OscillatorMode) -> float:
+    if mode.zero_point is None:
+        raise DomainError("the mode has no zero-point spread; give its frequency (omega)")
+    return mode.zero_point
 
 
 def thermal_sizes(
@@ -246,14 +239,13 @@ def thermal_sizes(
     size (typically negligible) uses the reciprocal spread ratio.
     """
     c = constants()
-    if delta_u <= 0:
-        raise DomainError(f"single-atom spread must be positive, got {delta_u}")
-    if nbar < 0:
-        raise DomainError(f"mean occupation must be >= 0, got {nbar}")
+    zero_point = _zero_point(mode)
+    require_positive(delta_u=delta_u)
+    require_nonnegative(nbar=nbar)
     denom = 2.0 * nbar + 1.0
-    n_ext_q = (mode.mode_mass * mode.zero_point / c.Q0) ** 2 / denom
-    n_ext_p = (c.a0 / mode.zero_point) ** 2 / denom
-    ratio = (mode.zero_point / delta_u) ** 2
+    n_ext_q = (mode.mode_mass * zero_point / c.Q0) ** 2 / denom
+    n_ext_p = (c.a0 / zero_point) ** 2 / denom
+    ratio = (zero_point / delta_u) ** 2
     n_ent_q = mode.mode_particle_number * ratio / denom
     n_ent_p = 1.0 / (denom * mode.mode_particle_number * ratio)
     return SizeReport(
@@ -263,7 +255,7 @@ def thermal_sizes(
         n_ent_momentum=n_ent_p,
         inputs={
             "mode_mass": mode.mode_mass,
-            "zero_point": mode.zero_point,
+            "zero_point": zero_point,
             "nbar": nbar,
             "delta_u": delta_u,
             "mode_particle_number": mode.mode_particle_number,
@@ -285,19 +277,18 @@ def measured_qfi_sizes(
     normalization is fixed so that ``fhat == vacuum_reference`` reproduces
     the thermal closed forms at nbar = 0.
     """
-    if fhat < 0:
-        raise DomainError(f"dimensionless QFI must be >= 0, got {fhat}")
-    if vacuum_reference <= 0:
-        raise DomainError("vacuum reference must be positive")
+    zero_point = _zero_point(mode)
+    require_nonnegative(fhat=fhat)
+    require_positive(vacuum_reference=vacuum_reference, delta_u=delta_u)
     scale = fhat / vacuum_reference
-    n_ext = (mode.mode_mass * mode.zero_point / constants().Q0) ** 2 * scale
-    n_ent = mode.mode_particle_number * scale * (mode.zero_point / delta_u) ** 2
+    n_ext = (mode.mode_mass * zero_point / constants().Q0) ** 2 * scale
+    n_ent = mode.mode_particle_number * scale * (zero_point / delta_u) ** 2
     return SizeReport(
         n_ext=n_ext,
         n_ent=n_ent,
         inputs={
             "mode_mass": mode.mode_mass,
-            "zero_point": mode.zero_point,
+            "zero_point": zero_point,
             "fhat": fhat,
             "vacuum_reference": vacuum_reference,
             "delta_u": delta_u,
@@ -340,15 +331,8 @@ def levitated_sizes(
     the single-particle variance is dominated by the CM spread, giving
     N_ent = N chi^2 / (dX_cm^2 + du^2).
     """
-    for name, value in (
-        ("mass", mass),
-        ("coherence length", coherence_length),
-        ("CM spread", delta_x_cm),
-        ("atom count", atom_count),
-        ("single-atom spread", delta_u),
-    ):
-        if value < 0 or (name != "coherence length" and value == 0):
-            raise DomainError(f"{name} must be positive, got {value}")
+    require_nonnegative(coherence_length=coherence_length)
+    require_positive(mass=mass, delta_x_cm=delta_x_cm, atom_count=atom_count, delta_u=delta_u)
     n_ext = (mass * coherence_length / constants().Q0) ** 2
     n_ent = (
         atom_count * coherence_length**2 / (delta_x_cm**2 + delta_u**2)
@@ -389,8 +373,7 @@ class HarmonicChain:
     ):
         if n_atoms < 2 or n_atoms > 2048:
             raise DomainError(f"atom count must be in [2, 2048], got {n_atoms}")
-        if temperature < 0:
-            raise DomainError(f"temperature must be >= 0, got {temperature}")
+        require_nonnegative(temperature=temperature)
         self.n_atoms = int(n_atoms)
         self.length = float(n_atoms)
         self.total_mass = float(n_atoms)
@@ -404,7 +387,7 @@ class HarmonicChain:
             raise DomainError(
                 f"need {self.n_atoms} mode frequencies, got shape {omega.shape}"
             )
-        if np.any(omega <= 0):
+        if not np.all(omega > 0):
             raise DomainError("mode frequencies must be positive")
         self.omega = omega
         self.temperature = float(temperature)
@@ -506,8 +489,7 @@ class HarmonicChain:
         ``addressed_variance`` and ``addressed_qfi`` describe the addressed
         mode's quadrature X_k; the extensive observable is Q_k = M_k X_k.
         """
-        if addressed_qfi < 0:
-            raise DomainError("addressed-mode QFI must be >= 0")
+        require_nonnegative(addressed_qfi=addressed_qfi)
         qfi_q = self.mode_mass**2 * addressed_qfi
         exact = qfi_q / (
             4.0 * self.variance_sum(addressed, n_regions, addressed_variance)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, require_nonnegative, require_positive
 
 # Dense matrices need at most a few hundred Fock levels or <= 2**12 qubit
 # dimensions (GHZ_DENSE_MAX_QUBITS).  State-vector registers with diagonal
@@ -182,8 +182,7 @@ def fock_operators(dim: int, nu: float = 0.5, hbar: float = 1.0):
     """
     if dim < 2:
         raise DomainError(f"Fock dimension must be >= 2, got {dim}")
-    if nu <= 0:
-        raise DomainError(f"ground-state variance nu must be positive, got {nu}")
+    require_positive(nu=nu)
     # Written straight onto the off-diagonals: <n-1|x|n> = <n|x|n-1> =
     # sqrt(nu n) and <n-1|p|n> = -<n|p|n-1> = -i c sqrt(n), c = hbar / 2 sqrt(nu).
     rungs = np.sqrt(np.arange(1.0, dim))
@@ -286,8 +285,7 @@ def cat_state(alpha: complex, dim: int) -> np.ndarray:
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
     """Bose thermal state with mean occupation ``nbar``, p = nbar/(1+nbar)."""
-    if nbar < 0:
-        raise DomainError(f"mean occupation must be >= 0, got {nbar}")
+    require_nonnegative(nbar=nbar)
     if nbar == 0:
         return vacuum_state(dim)
     p = nbar / (1.0 + nbar)

@@ -1,15 +1,27 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import macrosize
 from macrosize import oscillator, quantum, wigner
-from macrosize.cli import MEASURE_SCHEMAS, OSCILLATOR_SCHEMA, main
+from macrosize.cli import (
+    COUNT,
+    DIFFRACTION_SCHEMA,
+    MEASURE_SCHEMAS,
+    MODE_SCHEMA,
+    OSCILLATOR_SCHEMA,
+    main,
+)
 
 
 def run_cli(args, capsys):
@@ -609,3 +621,230 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "n_ext_momentum" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# finite inputs whose results are not finite, and the mode config's order
+# ---------------------------------------------------------------------------
+
+VACUUM_AXIS = (-6.0, 6.0, 41)
+
+
+def write_vacuum_grid(path):
+    wigner.save_grid(wigner.synth_grid(quantum.vacuum_state(4), VACUUM_AXIS, VACUUM_AXIS), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (
+            ["measure"],
+            {"system": "oscillator", "nbar": 3.0, "mode_mass": "1e288 kg", "zero_point": "1e137 m"},
+        ),
+        (
+            ["measure"],
+            {
+                "system": "oscillator",
+                "nbar": 2.0,
+                "mode_mass": "300 kg",
+                "frequency": "1e254 Hz",
+                "delta_u": "2e9 m",
+            },
+        ),
+        (
+            ["measure"],
+            {"system": "oscillator", "nbar": 1.0, "mode_mass": "1e-300 kg", "frequency": "1e-300 rad/s"},
+        ),
+        (
+            ["measure"],
+            {"system": "oscillator", "nbar": 1.0, "mode_mass": "-1 kg", "frequency": "1e6 rad/s"},
+        ),
+        (
+            ["oscillator"],
+            dict(TEUFEL_GEOMETRY, radius="1e200 m", thickness="1e200 m", density="1e200 kg/m3"),
+        ),
+        (["diffraction"], dict(FEIN_CONFIG, grating_period="1e-300 m")),
+    ],
+    ids=[
+        "infinite-n-ext",
+        "infinite-n-ent-momentum",
+        "zero-dividing-frequency",
+        "negative-mass-with-frequency",
+        "overflowing-drum",
+        "overflowing-wavenumber",
+    ],
+)
+def test_out_of_range_results_exit_3(tmp_path, capsys, argv, doc):
+    cfg = write_json(tmp_path / "edge.json", doc)
+    code, out, err = run_cli([*argv, cfg], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_range_error_is_readable(tmp_path, capsys):
+    doc = dict(TEUFEL_GEOMETRY, radius="1e200 m", thickness="1e200 m", density="1e200 kg/m3")
+    _code, _out, err = run_cli(["oscillator", write_json(tmp_path / "drum.json", doc)], capsys)
+    assert err == "error: the inputs are out of range (OverflowError)\n"
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        {"mode_mass": "1.3e-14 kg", "zero_point": "7.8e-15 m", "extra": 1},
+        {"mode_mass": "1.3e-14 kg", "zero_point": "7.8e-15 m", "frequency": "1.1e7 Hz"},
+        {"mode_mass": "1.3e-14 kg"},
+    ],
+    ids=["unknown-key", "zero-point-and-frequency", "no-spread"],
+)
+def test_wigner_bad_mode_config_fails_before_reconstruction(tmp_path, capsys, monkeypatch, mode):
+    def never(*_args, **_kwargs):
+        raise AssertionError("qfi_from_grid ran before the mode config was checked")
+
+    monkeypatch.setattr(wigner, "qfi_from_grid", never)
+    grid = write_vacuum_grid(tmp_path / "vacuum.wig")
+    mode_cfg = write_json(tmp_path / "mode.json", mode)
+    code, out, err = run_cli(["wigner", grid, "--dim", "4", "--mode-config", mode_cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_wigner_frequency_mode_config_stdout(tmp_path, capsys):
+    grid = write_vacuum_grid(tmp_path / "vacuum.wig")
+    mode_cfg = write_json(
+        tmp_path / "mode.json",
+        {"mode_mass": "1.3e-14 kg", "frequency": "1.1e7 Hz", "mode_atoms": 2.9e11},
+    )
+    code, out, _err = run_cli(["wigner", grid, "--dim", "4", "--mode-config", mode_cfg], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    # The residual and the clipped mass are rounding-level; only their keys are pinned.
+    assert [line.split()[0] for line in lines[1:3]] == ["residual", "clipped_mass"]
+    assert lines[:1] + lines[3:] == [
+        "reconstruction_dim  4",
+        "theta_star          0.000000e+00 rad",
+        "fhat                2.000000e+00",
+        "n_ext               1.284448e+18",
+        "n_ent               1.701877e+05",
+        "witness_depth       170188",
+        "# fhat in the vacuum => 2.0 quadrature convention",
+        "# frequencies given in Hz are converted to rad/s (x 2 pi)",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# every config: a known exit code, no traceback, no non-finite number at exit 0
+# ---------------------------------------------------------------------------
+
+# Any finite float of either sign, as a plain number or with a unit.  The
+# narrower ranges only make valid configs, which exit 0, more frequent.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-30, max_value=1e30),
+)
+
+
+def _config_value(kind, cap):
+    if kind == COUNT:
+        return st.integers(min_value=-2, max_value=cap)
+    if kind == "dimensionless":
+        return FINITE
+    units = [kind, "Hz"] if kind == "rad/s" else [kind]
+    return st.builds(lambda x, unit: f"{x!r} {unit}", FINITE, st.sampled_from(units))
+
+
+@st.composite
+def _config(draw, schema, keys, optional=(), fixed=None, caps=None):
+    """Values of ``schema`` for all ``keys`` and for some of the ``optional`` keys.
+
+    Only the costs are capped, by ``caps``: the Fock dim and the GHZ register size.
+    """
+    doc = dict(fixed or {})
+    for key in [*keys, *(key for key in optional if draw(st.booleans()))]:
+        doc[key] = draw(_config_value(schema[key][0], (caps or {}).get(key, 200)))
+    return doc
+
+
+def _mode_config(draw, schema, keys=(), **kwargs):
+    spread = draw(st.sampled_from(["zero_point", "frequency"]))
+    return _config(schema, [*keys, "mode_mass", spread], ["mode_atoms", "delta_u"], **kwargs)
+
+
+@st.composite
+def _measure(draw):
+    system = draw(st.sampled_from(sorted(MEASURE_SCHEMAS)))
+    schema = MEASURE_SCHEMAS[system]
+    if system == "fock":
+        kind = draw(st.sampled_from(sorted(quantum.STATE_BUILDERS)))
+        keys = ["dim", *quantum.STATE_BUILDERS[kind][0]]
+        config = _config(schema, keys, fixed={"system": system, "kind": kind}, caps={"dim": 40})
+    elif system == "ghz":
+        config = _config(schema, ["n", "q"], ["phase"], {"system": system}, {"n": 12})
+    else:
+        config = _mode_config(draw, schema, ["nbar"], fixed={"system": system})
+    return ["measure"], draw(config)
+
+
+@st.composite
+def _wigner_mode(draw):
+    return ["wigner", "<grid>", "--dim", "4", "--mode-config"], draw(
+        _mode_config(draw, MODE_SCHEMA)
+    )
+
+
+@st.composite
+def _diffraction(draw):
+    flight = draw(st.sampled_from([["flight_time"], ["flight_distance", "speed"]]))
+    keys = ["mass", "n_atoms", "grating_period", "open_fraction", "visibility"]
+    keys += flight + ["source_g1", "g1_g2"]
+    return ["diffraction"], draw(_config(DIFFRACTION_SCHEMA, keys))
+
+
+@st.composite
+def _oscillator(draw):
+    shape = draw(st.sampled_from(sorted(oscillator.SHAPES)))
+    keys = [*oscillator.SHAPES[shape].keys, "density", "atomic_mass", "frequency", "nbar"]
+    doc = draw(_config(OSCILLATOR_SCHEMA, keys, ["delta_u"], {"shape": shape}))
+    if draw(st.booleans()):
+        doc["mode"] = draw(st.sampled_from(["fundamental", "uniform"]))
+    return ["oscillator"], doc
+
+
+NON_FINITE_TEXT = re.compile(r"\b(?:inf|nan)\b", re.IGNORECASE)
+
+
+def _finite_values(value):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, str):
+        return not NON_FINITE_TEXT.search(value)
+    if isinstance(value, dict):
+        return all(map(_finite_values, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_values, value))
+    return True
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-property")
+    write_vacuum_grid(directory / "vacuum.wig")
+    return directory
+
+
+@settings(max_examples=400, deadline=None)
+@given(job=st.one_of(_measure(), _wigner_mode(), _diffraction(), _oscillator()))
+def test_every_config_exits_cleanly(cli_dir, job):
+    argv, doc = job
+    argv = [str(cli_dir / "vacuum.wig") if a == "<grid>" else a for a in argv]
+    config = write_json(cli_dir / "config.json", doc)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--format", "json", *argv, config])
+    assert code in (0, 2, 3, 4), (code, doc)
+    if code:
+        assert stderr.getvalue().startswith("error: "), (doc, stderr.getvalue())
+    else:
+        values = json.loads(stdout.getvalue())["values"]
+        assert _finite_values(values), (doc, values)

@@ -100,6 +100,15 @@ def test_classical_fi_rejects_unnormalized():
         fisher.classical_fi_grid(1.5 * p, h)
 
 
+def test_classical_fi_rejects_a_nan_sample():
+    p, h = _gaussian_grid(1.0)
+    p[len(p) // 2] = np.nan
+    with pytest.raises(DomainError, match="NaN"):
+        fisher.classical_fi_grid(p, h)
+    with pytest.raises(DomainError, match="^h must be finite and positive, got nan$"):
+        fisher.classical_fi_grid(np.ones(3), float("nan"))
+
+
 def test_binary_trial_plugin():
     assert fisher.binary_trial_fi(0.5, 1.0) == pytest.approx(4.0)
     assert fisher.binary_trial_fi(0.3, 0.0) == 0.0

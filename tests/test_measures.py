@@ -291,6 +291,25 @@ def test_witness_depth_values():
 def test_two_branch_limits():
     assert measures.two_branch_entangled_size(10.0, 1.0) == pytest.approx(5.0)
     assert measures.two_branch_entangled_size(10.0, float("inf")) == 10.0
+    for n, ratio in [(10.0, float("nan")), (10.0, -float("inf")), (float("nan"), 1.0)]:
+        with pytest.raises(DomainError, match="must be finite"):
+            measures.two_branch_entangled_size(n, ratio)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: measures.extensive_size(float("nan"), 1.0), "^qfi_value must be finite and >= 0, got nan$"),
+        (lambda: measures.extensive_size(1.0, float("inf")), "^unit must be finite and positive, got inf$"),
+        # int(ceil(inf)) raised OverflowError.
+        (lambda: measures.witness_depth(float("inf")), "^n_ent must be finite and >= 0, got inf$"),
+        (lambda: measures.witness_depth(float("nan")), "^n_ent must be"),
+    ],
+    ids=["nan-qfi", "infinite-unit", "infinite-depth", "nan-depth"],
+)
+def test_sizes_reject_non_finite_values(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
     n, r = 1.6e13, 9.8e-9
     val = measures.two_branch_entangled_size(n, r)
     assert val == pytest.approx(n * r * r, rel=1e-10)

@@ -108,6 +108,63 @@ def test_quadrature_route_only_for_drums():
         mode_volume(torus, "fundamental", numerical=True)
 
 
+def test_mode_volume_without_omega_has_no_zero_point():
+    mode = mode_volume(circular_drum(7.5e-6, 1e-7, 2.71e3, 4.48e-26))
+    assert mode.zero_point is None
+    assert mode.mode_mass == pytest.approx(1.3e-14, rel=0.01)
+    with pytest.raises(DomainError, match="give its frequency"):
+        oscillator.thermal_sizes(mode, 0.34)
+    with pytest.raises(DomainError, match="give its frequency"):
+        oscillator.measured_qfi_sizes(mode, 2.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OscillatorMode(float("nan"), 1e-15), "^mode_mass must be finite and positive, got nan$"),
+        (lambda: OscillatorMode(1e-14, float("inf")), "^zero_point must be"),
+        (lambda: OscillatorMode(1e-14, 1e-15, float("nan")), "^mode_particle_number must be"),
+        # Checked before the square root, which raised a bare ValueError.
+        (lambda: OscillatorMode.from_mass_and_omega(-1.0, 1e6), "^mode_mass must be"),
+        (lambda: OscillatorMode.from_mass_and_omega(1.0, float("inf")), "^omega must be"),
+        (lambda: circular_drum(float("nan"), 1e-7, **TEUFEL), "^radius must be"),
+        (lambda: square_drum(1e-3, 1e-7, 2.71e3, -1.0), "^mean_atomic_mass must be"),
+        (
+            lambda: oscillator.thermal_sizes(OscillatorMode(1e-14, 1e-15), float("nan")),
+            "^nbar must be finite and >= 0, got nan$",
+        ),
+        (
+            lambda: oscillator.measured_qfi_sizes(OscillatorMode(1e-14, 1e-15), 2.0, delta_u=0.0),
+            "^delta_u must be",
+        ),
+        (lambda: oscillator.levitated_sizes(1e-18, float("inf"), 1e-10, 1e7), "^coherence_length must be"),
+        (lambda: HarmonicChain(8, np.ones(8), float("nan")), "^temperature must be"),
+        (lambda: HarmonicChain(8, np.full(8, np.nan)), "frequencies must be positive"),
+    ],
+    ids=[
+        "nan-mass",
+        "infinite-zero-point",
+        "nan-particle-number",
+        "negative-mass-with-omega",
+        "infinite-omega",
+        "nan-radius",
+        "negative-atomic-mass",
+        "nan-nbar",
+        "zero-delta-u",
+        "infinite-coherence-length",
+        "nan-temperature",
+        "nan-chain-frequencies",
+    ],
+)
+def test_non_finite_and_non_positive_quantities_are_rejected(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_levitated_sizes_accept_zero_coherence_length():
+    assert oscillator.levitated_sizes(1e-18, 0.0, 1e-10, 1e7).n_ext == 0.0
+
+
 def test_teufel_geometry_reproduces_mode_parameters():
     geom = circular_drum(7.5e-6, 100e-9, **TEUFEL)
     mode = mode_volume(geom, "fundamental", omega=2 * math.pi * 1.1e7)
