@@ -32,7 +32,8 @@ print(f"reconstruction: dim {report.dim}, residual {report.residual:.2e}, "
       f"clipped mass {report.clipped_mass:.2e}")
 print(f"fidelity with the exact cat: {wigner.fidelity(report.rho, state):.6f}")
 
-theta, fhat, _ = wigner.qfi_from_grid(grid, 40)
+theta, result, _ = wigner.qfi_from_grid(grid, 40)
+fhat = result.value
 print(f"QFI maximized over quadratures: F = {fhat:.3f} at theta* = {theta:.4f} rad")
 print(f"ideal-cat value 2(4a^2+1) = {2 * (4 * alpha**2 + 1):.1f} "
       "(slightly reduced by the branch overlap)")
@@ -45,6 +46,6 @@ print(f"as a resonator mode: N_ext = {sizes.n_ext:.2e}, N_ent = {sizes.n_ent:.2e
 
 # The vacuum anchor of the convention:
 vac = wigner.synth_grid(quantum.vacuum_state(12), (-7, 7, 101), (-7, 7, 101))
-_, f_vac, _ = wigner.qfi_from_grid(vac, 12)
+f_vac = wigner.qfi_from_grid(vac, 12)[1].value
 print(f"vacuum grid anchor: F = {f_vac:.4f} (convention target 2.0)")
 print(f"vacuum peak {vac.values[50, 50]:.6f} vs 1/pi = {1 / math.pi:.6f}")

@@ -237,6 +237,13 @@ MODE_SCHEMA = {
 }
 
 
+def _add_sizes(report, out: Output):
+    """The extensive size, entangled size and witnessed depth of a ``SizeReport``."""
+    out.add("n_ext", report.n_ext)
+    out.add("n_ent", report.n_ent)
+    out.add("witness_depth", report.witness_depth)
+
+
 def build_mode(cfg: Mapping, out: Output) -> oscillator.OscillatorMode:
     """The mode of a ``MODE_SCHEMA`` config, from its zero-point spread or frequency."""
     if "zero_point" in cfg and "frequency" in cfg:
@@ -294,9 +301,7 @@ def cmd_measure(args, out: Output) -> int:
     if system == "ghz":
         psi, observable = quantum.ghz_vector(cfg["n"], cfg["q"], cfg.get("phase", 0.0))
         report = measures.size_report_for_state(psi, observable)
-        out.add("n_ext", report.n_ext)
-        out.add("n_ent", report.n_ent)
-        out.add("witness_depth", report.witness_depth)
+        _add_sizes(report, out)
         out.note("n_ext normalized to a unit spin observable (A0 = 1)")
     elif system == "fock":
         dim = cfg["dim"]
@@ -305,25 +310,28 @@ def cmd_measure(args, out: Output) -> int:
         rho = quantum.make_state(cfg["kind"], dim, **params)
         _a, x_op, p_op = quantum.fock_operators(dim, nu=0.5, hbar=1.0)
         theta, result = qfi_max_quadrature(rho, x_op, p_op)
-        out.add("theta_star", theta, "rad")
-        out.add("fhat", result.value)
         out.note("fhat in the vacuum => 2.0 quadrature convention")
-        if result.diagnostics["isotropic"]:
-            out.note(
-                "isotropic state: every quadrature maximizes the QFI; "
-                "theta_star is 0 by convention"
-            )
+        _add_best_quadrature(theta, result, out)
     else:
         mode = build_mode(cfg, out)
         report = oscillator.thermal_sizes(
             mode, cfg["nbar"], cfg.get("delta_u", oscillator.DELTA_U_DEFAULT)
         )
-        out.add("n_ext", report.n_ext)
-        out.add("n_ent", report.n_ent)
-        out.add("witness_depth", report.witness_depth)
+        _add_sizes(report, out)
         out.add("n_ext_momentum", report.n_ext_momentum)
         out.add("n_ent_momentum", report.n_ent_momentum)
     return EXIT_OK
+
+
+def _add_best_quadrature(theta: float, result, out: Output):
+    """The rows of a ``qfi_max_quadrature`` result, and a note when it is isotropic."""
+    out.add("theta_star", theta, "rad")
+    out.add("fhat", result.value)
+    if result.diagnostics["isotropic"]:
+        out.note(
+            "isotropic state: every quadrature maximizes the QFI; "
+            "theta_star is 0 by convention"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +346,16 @@ def cmd_wigner(args, out: Output) -> int:
     mode = build_mode(cfg, out) if cfg is not None else None
     grid = wigner.load_grid(args.grid)
     grid.check()
-    theta, fhat, report = wigner.qfi_from_grid(grid, args.dim)
+    theta, result, report = wigner.qfi_from_grid(grid, args.dim)
     out.add("reconstruction_dim", report.dim)
     out.add("residual", report.residual)
     out.add("clipped_mass", report.clipped_mass)
-    out.add("theta_star", theta, "rad")
-    out.add("fhat", fhat)
+    _add_best_quadrature(theta, result, out)
     if mode is not None:
         sizes = oscillator.measured_qfi_sizes(
-            mode, fhat, cfg.get("delta_u", oscillator.DELTA_U_DEFAULT)
+            mode, result.value, cfg.get("delta_u", oscillator.DELTA_U_DEFAULT)
         )
-        out.add("n_ext", sizes.n_ext)
-        out.add("n_ent", sizes.n_ent)
-        out.add("witness_depth", sizes.witness_depth)
+        _add_sizes(sizes, out)
     return EXIT_OK
 
 
@@ -401,9 +406,7 @@ def cmd_diffraction(args, out: Output) -> int:
     out.add("qfi_bound", report.inputs["qfi_bound"], "kg^2 m^2")
     out.add("coherence_length", report.inputs["coherence_length"], "m")
     out.add("delta_x_cm", report.inputs["delta_x_cm"], "m")
-    out.add("n_ext", report.n_ext)
-    out.add("n_ent", report.n_ent)
-    out.add("witness_depth", report.witness_depth)
+    _add_sizes(report, out)
     # The source-to-first-grating distance is typically uncertain; report the
     # entangled-size range over the conventional [0.2 m, 1 m] window.
     ends = [
@@ -456,9 +459,7 @@ def cmd_oscillator(args, out: Output) -> int:
     out.add("mode_mass", mode.mode_mass, "kg")
     out.add("mode_atoms", mode.mode_particle_number)
     out.add("zero_point", mode.zero_point, "m")
-    out.add("n_ext", report.n_ext)
-    out.add("n_ent", report.n_ent)
-    out.add("witness_depth", report.witness_depth)
+    _add_sizes(report, out)
     return EXIT_OK
 
 

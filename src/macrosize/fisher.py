@@ -24,24 +24,22 @@ When the two eigenvalues agree to ``ISOTROPY_FACTOR`` the state is
 isotropic and the maximizing angle is 0 by convention.
 
 ``qfi``, ``variance`` and ``qfi_max_quadrature`` check a state once, where
-it enters, and decompose it once.  Hermiticity and unit trace are checked first.
-A state with purity above ``quantum.PURITY_PURE_THRESHOLD`` is then tried
-as psi = rho[:, k] / sqrt(rho_kk), k its largest diagonal entry, and
-certified pure when rho is within -EIG_FLOOR / sqrt(2) of psi psi^+ in
-Frobenius norm; by Weyl's inequality its smallest eigenvalue is then at
-least ``EIG_FLOOR``, the floor ``quantum.validate_density`` enforces.
-The QFI matrix then costs one matrix-vector product per generator and no
-eigensolver.  Any other state takes one ``quantum.eigh``, whose smallest
-eigenvalue is held to the same floor.  On 2 cores the best quadrature of
-squeezed vacuum takes about 40 ms at dim 600 and 0.5 s at dim 2000, most
-of it the Hermiticity checks of rho, x and p.
+it enters, with ``quantum.density``, the package's one check of a density
+matrix.  It gives either a certified pure vector psi, and then the QFI
+matrix costs one matrix-vector product per generator and no eigensolver,
+or the one ``quantum.eigh`` spectrum the QFI reads.  Their private cores
+``_qfi``, ``_state_variance`` and ``_max_quadrature`` take a
+``quantum.Density`` that is already checked: a reconstruction from a
+Wigner grid arrives already decomposed, so ``wigner.qfi_from_grid`` hands
+its clipped spectrum straight to ``_max_quadrature``.  On 2 cores the best
+quadrature of squeezed vacuum takes about 40 ms at dim 600 and 0.5 s at
+dim 2000, most of it the Hermiticity checks of rho, x and p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +52,8 @@ PAIR_THRESHOLD_FACTOR = 1e-12
 # A 2x2 QFI matrix whose eigengap is at most this times its top eigenvalue
 # is isotropic: every quadrature is a maximum and theta_star is 0.0.
 ISOTROPY_FACTOR = 1e-9
-# A maximizing angle less than this below 0 is 0 up to rounding: it folds to
-# 0.0, not to a value a rounding step below pi.
+# A maximizing angle within this of 0 is 0 up to rounding: it folds to 0.0,
+# not to a rounding-level angle or a value a rounding step below pi.
 ANGLE_FOLD_ATOL = 1e-12
 # Grid cells with p below this times max(p) would let numerical tails of
 # p'^2/p dominate the classical FI integral; they are excluded instead.
@@ -74,57 +72,21 @@ class FisherResult:
         return self.value
 
 
-class _Density(NamedTuple):
-    """A checked density matrix and the one decomposition its positivity rests on.
-
-    Exactly one of ``psi``, a vector with psi psi^+ certified to lie within
-    -EIG_FLOOR / sqrt(2) of rho in Frobenius norm, and ``spectrum`` is set.
-    """
-
-    rho: np.ndarray
-    purity: float
-    psi: np.ndarray | None
-    spectrum: quantum.Spectrum | None
-
-
-def _density(rho: np.ndarray) -> _Density:
-    """The one check of a state: Hermiticity, unit trace, then positivity.
-
-    The pure certificate (see the module docstring) carries a factor
-    sqrt(2) because LAPACK reads only the lower triangle of rho: the
-    Hermitian matrix it reads lies within sqrt(2) ||rho - psi psi^+||_F of
-    psi psi^+ in spectral norm, so the certificate bounds the eigenvalues
-    ``quantum.validate_density`` checks.
-    """
-    rho = quantum.require_unit_trace(rho)
-    pur = quantum.purity(rho)
-    if pur > quantum.PURITY_PURE_THRESHOLD:
-        k = int(np.argmax(np.real(np.diagonal(rho))))
-        psi = rho[:, k] / math.sqrt(rho[k, k].real)
-        defect = np.outer(psi, -psi.conj())
-        defect += rho
-        if math.sqrt(2.0) * np.linalg.norm(defect) <= -quantum.EIG_FLOOR:
-            return _Density(rho, pur, psi, None)
-    spectrum = quantum.eigh(rho)
-    quantum.require_eigenvalue_floor(float(spectrum.eigenvalues[-1]))
-    return _Density(rho, pur, None, spectrum)
-
-
-def _checked_operator(shape: tuple, operator: np.ndarray) -> np.ndarray:
-    """A Hermitian observable of the state's ``shape``."""
-    operator = quantum.require_hermitian(operator, "observable")
+def _checked_operator(shape: tuple, operator: np.ndarray, name: str = "observable") -> np.ndarray:
+    """A Hermitian operator of the state's ``shape``."""
+    operator = quantum.require_hermitian(operator, name)
     if shape != operator.shape:
-        raise DomainError(f"dimension mismatch: state {shape} vs observable {operator.shape}")
+        raise DomainError(f"dimension mismatch: state {shape} vs {name} {operator.shape}")
     return operator
 
 
 def variance(rho: np.ndarray, operator: np.ndarray) -> float:
     """Var(rho, A) = <B^2> with centred B = A - <A>."""
-    state = _density(rho)
+    state = quantum.density(rho)
     return _state_variance(state, _checked_operator(state.rho.shape, operator))
 
 
-def _state_variance(state: _Density, operator: np.ndarray) -> float:
+def _state_variance(state: quantum.Density, operator: np.ndarray) -> float:
     """``variance`` of a checked state: ||B psi||^2 if certified pure, else tr(rho B^2)."""
     if state.psi is not None:
         centered = _centered_vector(state.psi, operator)
@@ -140,7 +102,7 @@ def _centered_vector(psi: np.ndarray, operator: np.ndarray) -> np.ndarray:
     return a_psi - float(np.real(np.vdot(psi, a_psi))) * psi
 
 
-def _qfi_matrix(state: _Density, operators):
+def _qfi_matrix(state: quantum.Density, operators):
     """QFI matrix F_ab of a checked state for Hermitian generators A_a.
 
     Returns ``(F, method, diagnostics, discarded)``.  ``discarded`` is None on
@@ -193,10 +155,10 @@ def _result(value, method, diagnostics, discarded, direction) -> FisherResult:
 
 def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
     """Quantum Fisher information of ``rho`` with respect to ``operator``."""
-    return _qfi(_density(rho), operator)
+    return _qfi(quantum.density(rho), operator)
 
 
-def _qfi(state: _Density, operator: np.ndarray) -> FisherResult:
+def _qfi(state: quantum.Density, operator: np.ndarray) -> FisherResult:
     """``qfi`` of a checked state."""
     operator = _checked_operator(state.rho.shape, operator)
     matrix, method, diagnostics, discarded = _qfi_matrix(state, [operator])
@@ -257,20 +219,20 @@ def qfi_max_quadrature(rho: np.ndarray, x_op: np.ndarray, p_op: np.ndarray):
     (2009); Liu et al., J. Phys. A 53, 023001 (2020)), built from one
     check and one decomposition of the state.  Returns ``(theta_star,
     result)``: the top eigenvalue of F and the angle of its eigenvector
-    modulo pi, in [0, pi), with an angle within ``ANGLE_FOLD_ATOL`` below pi
+    modulo pi, in [0, pi), with an angle within ``ANGLE_FOLD_ATOL`` of 0 or pi
     folded to 0.0.  When the eigengap is at most ``ISOTROPY_FACTOR``
     times the top eigenvalue every quadrature is a maximum, and
     ``theta_star`` is 0.0 by convention.  ``result.diagnostics`` reports
     ``eigengap`` and ``isotropic``.
     """
-    state = _density(rho)
-    x_op = quantum.require_hermitian(x_op, "x quadrature")
-    p_op = quantum.require_hermitian(p_op, "p quadrature")
-    if not state.rho.shape == x_op.shape == p_op.shape:
-        raise DomainError(
-            f"dimension mismatch: state {state.rho.shape} vs quadratures "
-            f"{x_op.shape}, {p_op.shape}"
-        )
+    state = quantum.density(rho)
+    x_op = _checked_operator(state.rho.shape, x_op, "x quadrature")
+    p_op = _checked_operator(state.rho.shape, p_op, "p quadrature")
+    return _max_quadrature(state, x_op, p_op)
+
+
+def _max_quadrature(state: quantum.Density, x_op: np.ndarray, p_op: np.ndarray):
+    """``qfi_max_quadrature`` of a checked state and Hermitian quadratures of its shape."""
     matrix, method, diagnostics, discarded = _qfi_matrix(state, [x_op, p_op])
     (f_xx, f_xp), (_f_px, f_pp) = matrix
     # F(theta) = (f_xx + f_pp) / 2 + (f_xx - f_pp) / 2 cos 2theta + f_xp sin 2theta
@@ -284,9 +246,7 @@ def qfi_max_quadrature(rho: np.ndarray, x_op: np.ndarray, p_op: np.ndarray):
 
 
 def _fold_angle(theta: float) -> float:
-    """Map an angle in (-pi/2, pi/2] to [0, pi), with -ANGLE_FOLD_ATOL < theta < 0 to 0.0."""
-    if theta >= 0.0:
-        return theta
-    if theta > -ANGLE_FOLD_ATOL:
+    """Map an angle in (-pi/2, pi/2] to [0, pi), with |theta| < ANGLE_FOLD_ATOL to 0.0."""
+    if abs(theta) < ANGLE_FOLD_ATOL:
         return 0.0
-    return theta + math.pi
+    return theta if theta > 0.0 else theta + math.pi

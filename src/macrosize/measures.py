@@ -4,7 +4,9 @@ Extensive size expresses a QFI value in atomic-scale units:
 ``N_ext = F / (4 A0^2)`` with ``Q0 = m_u a0`` for mass-weighted position and
 ``P0 = hbar / 2 a0`` for momentum.  Entangled size divides the QFI by four
 times the sum of local variances over a partition; values above an integer
-``k`` witness (k+1)-partite entanglement.
+``k`` witness (k+1)-partite entanglement.  ``quantum.density``, the one
+check of a density matrix, decomposes a state once for the QFI and the
+local variances; a Wigner-grid reconstruction arrives already decomposed.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
 
     ``state`` is a density matrix or, if 1-D, a pure state vector.  A vector
     is checked here; a density matrix is checked and decomposed once by
-    ``fisher._density``, and the locals share the total's shape, so their
+    ``quantum.density``, and the locals share the total's shape, so their
     variances need no second check.  A density matrix certified pure gives
     its variances from the same vector psi, as ||B psi||^2.
     A vector with diagonal locals needs only its populations p = |psi|^2:
@@ -160,7 +162,7 @@ def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
     if observable.diagonal:
         total = np.diag(total).astype(complex)
         locals_ = [np.diag(a).astype(complex) for a in locals_]
-    density = fisher._density(state)
+    density = quantum.density(state)
     total_qfi = fisher._qfi(density, total).value
     return total_qfi, [fisher._state_variance(density, a) for a in locals_]
 
@@ -188,8 +190,10 @@ def entangled_size_from_values(
     """Closed-form entangled size from a QFI value and local variances."""
     if not len(local_variances):
         raise DomainError("partition needs at least one local variance")
+    if not (math.isfinite(qfi_value) and np.all(np.isfinite(local_variances))):
+        raise DomainError("the QFI and the local variances must be finite")
     denom = 4.0 * float(np.sum(local_variances))
-    if denom <= 0.0:
+    if not denom > 0.0:
         if qfi_value <= 1e-12:
             raise DomainError(
                 "incoherent-local: all local variances vanish and the QFI is zero"

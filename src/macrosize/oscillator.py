@@ -303,7 +303,7 @@ def collective_scaling(base: SizeReport, n_osc: int) -> SizeReport:
     entangled size by n_osc; fully independent oscillators would instead
     give (x n_osc, x 1), reported alongside for comparison.
     """
-    if n_osc < 1 or int(n_osc) != n_osc:
+    if not (math.isfinite(n_osc) and n_osc >= 1 and int(n_osc) == n_osc):
         raise DomainError(f"oscillator count must be a positive integer, got {n_osc}")
     n_osc = int(n_osc)
     inputs = dict(base.inputs)

@@ -2,11 +2,13 @@
 
 Everything here works on plain ``numpy`` arrays.  On the dense path
 operators are ``(d, d)`` complex matrices, and density matrices
-additionally satisfy Hermiticity, unit trace and positivity (see
-:func:`validate_density`).  Pure qubit registers also have a structured
-path: a 1-D state vector with real 1-D diagonals for observables that are
-diagonal in the computational basis (see :func:`ghz_vector`), which costs
-O(2**n) per observable instead of O(4**n) storage and O(8**n) algebra.
+additionally satisfy Hermiticity, unit trace and positivity:
+:func:`density` is the package's one check of them, and keeps its
+decomposition for the QFI; a Wigner-grid reconstruction arrives already
+decomposed.  Pure qubit registers also have a structured path: a 1-D
+state vector with real 1-D diagonals for observables that are diagonal in
+the computational basis (see :func:`ghz_vector`), which costs O(2**n) per
+observable instead of O(4**n) storage and O(8**n) algebra.
 All functions are pure; arrays are never mutated in place.
 """
 
@@ -95,30 +97,47 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.vdot(rho, rho)))
 
 
-def require_unit_trace(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity and unit trace; return the array.
+class Density(NamedTuple):
+    """A checked rho and its one decomposition: a pure ``psi`` or an :func:`eigh` ``spectrum``."""
 
-    Positivity is left to the caller, who reads it off a decomposition it
-    needs anyway (see :func:`require_eigenvalue_floor`).
+    rho: np.ndarray
+    purity: float
+    psi: np.ndarray | None
+    spectrum: Spectrum | None
+
+
+def density(rho: np.ndarray, name: str = "rho") -> Density:
+    """The one check of a density matrix: Hermiticity, unit trace, then positivity.
+
+    A state with purity above PURITY_PURE_THRESHOLD is tried as psi =
+    rho[:, k] / sqrt(rho_kk), k its largest diagonal entry, and certified
+    pure when sqrt(2) ||rho - psi psi^+||_F <= -EIG_FLOOR: LAPACK reads only
+    the lower triangle, whose Hermitian matrix then lies within -EIG_FLOOR
+    of psi psi^+ in spectral norm, so by Weyl's inequality its eigenvalues
+    clear EIG_FLOOR.  Any other state takes one :func:`eigh`, held to that floor.
     """
     rho = require_hermitian(rho, name)
     trace = float(np.real(np.trace(rho)))
     if abs(trace - 1.0) > TRACE_ATOL:
         raise DomainError(f"{name} has trace {trace!r}, expected 1 within {TRACE_ATOL}")
-    return rho
-
-
-def require_eigenvalue_floor(min_eig: float, name: str = "rho") -> None:
-    """Reject a state whose smallest eigenvalue ``min_eig`` is below EIG_FLOOR."""
+    pur = purity(rho)
+    if pur > PURITY_PURE_THRESHOLD:
+        k = int(np.argmax(np.real(np.diagonal(rho))))
+        psi = rho[:, k] / math.sqrt(rho[k, k].real)
+        defect = np.outer(psi, -psi.conj())
+        defect += rho
+        if math.sqrt(2.0) * np.linalg.norm(defect) <= -EIG_FLOOR:
+            return Density(rho, pur, psi, None)
+    spectrum = eigh(rho)
+    min_eig = float(spectrum.eigenvalues[-1])
     if min_eig < EIG_FLOOR:
         raise DomainError(f"{name} has negative eigenvalue {min_eig:.3e}")
+    return Density(rho, pur, None, spectrum)
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the array."""
-    rho = require_unit_trace(rho, name)
-    require_eigenvalue_floor(float(np.linalg.eigvalsh(rho)[0]), name)
-    return rho
+    """The array of a state that passes :func:`density`."""
+    return density(rho, name).rho
 
 
 def populations(psi: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ Grids sample W(x, p) on dimensionless quadratures with vacuum variance
 1/2, so that the vacuum peak is 1/pi and the grid integrates to one.
 Reconstruction projects the grid onto the Wigner kernels of the Fock
 operators |m><n| (no iterative tomography), repairs positivity by
-clipping negative eigenvalues, and reports the fit residual.
+clipping negative eigenvalues, and reports the fit residual.  The state
+arrives already decomposed: a ``quantum.Density`` (the type of
+``quantum.density``, the package's one check of a density matrix) built
+from its clipped spectrum, which the QFI reads.
 
 Synthesis goes through the position basis, W(x, p) = (1/pi) int
 <x - y|rho|x + y> e^{2ipy} dy (Leonhardt, *Measuring the Quantum State of
@@ -348,11 +351,15 @@ def synth_grid(
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    rho: np.ndarray
+    state: quantum.Density
     dim: int
     clipped_mass: float
     residual: float
     diagonal_tail: float
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.state.rho
 
 
 def _overlap_reconstruct(grid: WignerGrid, chain: _Chain) -> np.ndarray:
@@ -398,7 +405,7 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
             continue
         break
 
-    values, vectors = np.linalg.eigh(raw)
+    values, vectors = quantum.eigh(raw)  # raw = X + X^H is exactly Hermitian
     clipped_mass = float(np.sum(np.abs(values[values < 0.0])))
     clipped = np.clip(values, 0.0, None)
     trace = float(np.sum(clipped))
@@ -411,7 +418,9 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
     resynth = _synthesize(rho, chain)
     scale = float(np.linalg.norm(grid.values))
     residual = float(np.linalg.norm(resynth - grid.values)) / max(scale, 1e-300)
-    report = ReconstructionReport(rho, dim, clipped_mass, residual, tail)
+    spectrum = quantum.Spectrum(clipped, vectors)
+    state = quantum.Density(rho, float(clipped @ clipped), None, spectrum)
+    report = ReconstructionReport(state, dim, clipped_mass, residual, tail)
     if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise ReconstructionError(
             f"unfaithful reconstruction: residual {residual:.4f} > {RESIDUAL_LIMIT}",
@@ -423,22 +432,24 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
 def qfi_from_grid(grid: WignerGrid, dim: int | None = None):
     """Reconstruct and maximize the QFI over quadrature directions.
 
-    Returns ``(theta_star, fhat, report)`` with ``fhat`` in the convention
-    where the vacuum value is 2.0 (quadrature vacuum variance 1/2).
+    The QFI is the spectral one of the reported state's clipped spectrum.
+    Returns ``(theta_star, result, report)``, with the ``FisherResult`` in the
+    convention where the vacuum value is 2.0 (quadrature vacuum variance 1/2).
     """
     report = reconstruct(grid, dim)
     _a, x_op, p_op = quantum.fock_operators(report.dim, nu=0.5, hbar=1.0)
-    theta, result = fisher.qfi_max_quadrature(report.rho, x_op, p_op)
-    return theta, result.value, report
+    theta, result = fisher._max_quadrature(report.state, x_op, p_op)
+    return theta, result, report
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = quantum.validate_density(rho, "rho")
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2; <psi|sigma|psi> if rho is pure."""
+    state = quantum.density(rho)
     sigma = quantum.validate_density(sigma, "sigma")
-    lam, vec = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
-    sqrt_rho = (vec * np.sqrt(lam)) @ vec.conj().T
+    if state.psi is not None:
+        return float(np.real(np.vdot(state.psi, sigma @ state.psi)))
+    lam, vec = state.spectrum
+    sqrt_rho = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
     eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(np.sum(np.sqrt(eigs)) ** 2)

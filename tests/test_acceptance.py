@@ -493,7 +493,7 @@ def test_criterion_9_wigner_roundtrip():
         report = wigner.reconstruct(grid, dim)
         fid = wigner.fidelity(report.rho, state)
         c.check(f"{label} fidelity >= 0.995", fid >= 0.995, f"{fid:.6f}")
-        _theta, fhat, _rep = wigner.qfi_from_grid(grid, dim)
+        fhat = wigner.qfi_from_grid(grid, dim)[1].value
         d = state.shape[0]
         _a, x_op, p_op = quantum.fock_operators(d, nu=0.5)
         _t, direct = fisher.qfi_max_quadrature(state, x_op, p_op)

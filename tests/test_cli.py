@@ -729,7 +729,24 @@ def test_wigner_frequency_mode_config_stdout(tmp_path, capsys):
         "witness_depth       170188",
         "# fhat in the vacuum => 2.0 quadrature convention",
         "# frequencies given in Hz are converted to rad/s (x 2 pi)",
+        "# isotropic state: every quadrature maximizes the QFI; theta_star is 0 by convention",
     ]
+
+
+def test_wigner_isotropic_grid_notes_it_as_measure_fock_does(tmp_path, capsys):
+    axis = (-10.0, 10.0, 101)
+    grid = tmp_path / "thermal.wig"
+    wigner.save_grid(wigner.synth_grid(quantum.thermal_state(1.0, 40), axis, axis), grid)
+    config = write_json(
+        tmp_path / "thermal.json", {"system": "fock", "kind": "thermal", "dim": 40, "nbar": 1.0}
+    )
+    note = "# isotropic state: every quadrature maximizes the QFI; theta_star is 0 by convention"
+    for argv in (["wigner", str(grid), "--dim", "40"], ["measure", config]):
+        code, out, _err = run_cli(argv, capsys)
+        assert (code, out.splitlines()[-1]) == (0, note)
+        code, out, _err = run_cli(["--format", "json", *argv], capsys)
+        doc = json.loads(out)
+        assert (doc["values"]["theta_star"], doc["notes"][-1]) == (0.0, note[2:])
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,9 @@ def test_quadrature_spectral_diagnostics():
 
 
 def test_fold_angle_both_sides_of_zero():
-    # A rounding-level negative angle is 0, not a rounding step below pi.
+    # A rounding-level angle is 0, not a rounding step above 0 or below pi.
     assert fisher._fold_angle(-9e-16) == 0.0
+    assert fisher._fold_angle(4e-17) == 0.0
     assert fisher._fold_angle(-fisher.ANGLE_FOLD_ATOL / 2) == 0.0
     assert fisher._fold_angle(-1e-3) == math.pi - 1e-3
     assert fisher._fold_angle(0.0) == 0.0

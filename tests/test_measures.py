@@ -93,6 +93,15 @@ def test_entangled_size_incoherent_local_diagnostic():
         measures.entangled_size(rho, obs)
 
 
+def test_entangled_size_from_values_rejects_non_finite_input():
+    cases = [(1.0, [math.nan]), (math.nan, [1.0]), (math.inf, [1.0]), (1.0, [math.inf])]
+    for qfi_value, local_variances in cases:
+        with pytest.raises(DomainError, match="must be finite"):
+            measures.entangled_size_from_values(qfi_value, local_variances)
+    # A rounding-level negative variance is not an incoherent partition.
+    assert measures.entangled_size_from_values(1.0, [-1e-18, 1.0]) == 0.25
+
+
 def test_from_locals_rejects_mismatched_shapes():
     for locals_ in (
         [np.eye(2, dtype=complex), np.eye(4, dtype=complex)],
@@ -139,21 +148,17 @@ def test_size_report_is_qfi_and_variance_composition(rng):
 def _record_state_checks(monkeypatch):
     """Record every density check, vector check, QFI operator and np.sum input.
 
-    A density matrix is checked by ``fisher._density`` (Hermiticity, trace
-    and positivity from its one decomposition) or by
-    ``quantum.validate_density``; both count as a check.
+    A density matrix is checked by ``quantum.density`` (Hermiticity, trace
+    and positivity from its one decomposition), which
+    ``quantum.validate_density`` also calls, so each check counts once.
     """
     calls = {"validated": [], "populations": [], "qfi_operators": [], "summed": []}
-    validate_density, populations = quantum.validate_density, quantum.populations
-    density, qfi, np_sum = fisher._density, fisher._qfi, np.sum
+    density, populations = quantum.density, quantum.populations
+    qfi, np_sum = fisher._qfi, np.sum
 
-    def counting_validate(state, *args, **kwargs):
+    def counting_density(state, *args, **kwargs):
         calls["validated"].append(state)
-        return validate_density(state, *args, **kwargs)
-
-    def counting_density(state):
-        calls["validated"].append(state)
-        return density(state)
+        return density(state, *args, **kwargs)
 
     def counting_populations(psi, *args, **kwargs):
         calls["populations"].append(psi)
@@ -167,8 +172,7 @@ def _record_state_checks(monkeypatch):
         calls["summed"].append(a)
         return np_sum(a, *args, **kwargs)
 
-    monkeypatch.setattr(quantum, "validate_density", counting_validate)
-    monkeypatch.setattr(fisher, "_density", counting_density)
+    monkeypatch.setattr(quantum, "density", counting_density)
     monkeypatch.setattr(quantum, "populations", counting_populations)
     monkeypatch.setattr(fisher, "_qfi", recording_qfi)
     monkeypatch.setattr(np, "sum", recording_sum)

@@ -280,6 +280,9 @@ def test_collective_scaling():
     assert scaled.inputs["independent_n_ent"] == pytest.approx(base.n_ent)
     identity = oscillator.collective_scaling(base, 1)
     assert identity.n_ext == base.n_ext and identity.n_ent == base.n_ent
+    for count in (0, -2, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="oscillator count must be a positive integer"):
+            oscillator.collective_scaling(base, count)
 
 
 def test_levitated_rossi_row():

@@ -226,6 +226,16 @@ def test_reconstruct_cat_fidelity():
     assert report.clipped_mass < 0.05
 
 
+def test_fidelity_of_a_pure_state_is_its_overlap(rng):
+    psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    sigma = random_density(rng, 6)
+    # F(psi psi^+, sigma) = <psi|sigma|psi>, with no square roots of rounding-level eigenvalues.
+    assert wigner.fidelity(rho, sigma) == pytest.approx(quantum.expectation(rho, sigma), abs=1e-14)
+    assert wigner.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_reconstruct_rejects_garbage():
     rng = np.random.default_rng(3)
     values = np.abs(rng.standard_normal((41, 41))) * 0.05
@@ -281,7 +291,7 @@ def _two_chain_reconstruct(grid, dim):
             dim = min(int(dim * 1.5) + 1, wigner.DIM_CAP)
             continue
         break
-    values, vectors = np.linalg.eigh(raw)
+    values, vectors = quantum.eigh(raw)
     clipped = np.clip(values, 0.0, None)
     clipped /= float(np.sum(clipped))
     rho = (vectors * clipped) @ vectors.conj().T
@@ -341,26 +351,26 @@ def test_reconstruct_matches_two_chain_path(monkeypatch, case, dim, final_dim):
 
 def test_qfi_from_grid_vacuum():
     grid = synth_grid(quantum.vacuum_state(12), AXES, AXES)
-    _theta, fhat, _report = qfi_from_grid(grid, 12)
-    assert fhat == pytest.approx(2.0, abs=0.05)
+    _theta, result, _report = qfi_from_grid(grid, 12)
+    assert result.value == pytest.approx(2.0, abs=0.05)
 
 
 def test_qfi_from_grid_squeezed_target():
     r = 0.5 * math.log(2.1)
     rho = quantum.squeezed_state(r, 40)
     grid = synth_grid(rho, (-9, 9, 111), (-9, 9, 111))
-    theta, fhat, _report = qfi_from_grid(grid, 40)
-    assert fhat == pytest.approx(4.2, abs=0.1)
+    theta, result, _report = qfi_from_grid(grid, 40)
+    assert result.value == pytest.approx(4.2, abs=0.1)
     assert theta == pytest.approx(math.pi / 2, abs=5e-3)
 
 
 def test_qfi_from_grid_cat_matches_spectral():
     cat = quantum.cat_state(1.0, 30)
     grid = synth_grid(cat, (-8, 8, 111), (-8, 8, 111))
-    theta, fhat, _report = qfi_from_grid(grid, 30)
+    theta, result, _report = qfi_from_grid(grid, 30)
     _a, x, p = quantum.fock_operators(30, nu=0.5)
     _t, direct = fisher.qfi_max_quadrature(cat, x, p)
-    assert fhat == pytest.approx(direct.value, rel=0.02)
+    assert result.value == pytest.approx(direct.value, rel=0.02)
 
 
 @pytest.mark.parametrize(
@@ -375,19 +385,19 @@ def test_qfi_from_grid_cat_matches_spectral():
 )
 def test_roundtrip_qfi_within_two_percent(state, dim, x_axis, p_axis):
     grid = synth_grid(state, x_axis, p_axis)
-    _theta, fhat, _report = qfi_from_grid(grid, dim)
+    _theta, result, _report = qfi_from_grid(grid, dim)
     d = state.shape[0]
     _a, x, p = quantum.fock_operators(d, nu=0.5)
     _t, direct = fisher.qfi_max_quadrature(state, x, p)
-    assert fhat == pytest.approx(direct.value, rel=0.02)
+    assert result.value == pytest.approx(direct.value, rel=0.02)
 
 
 def test_resolution_stability():
     rho = quantum.cat_state(1.5, 36)
     coarse = synth_grid(rho, (-9, 9, 81), (-9, 9, 81))
     fine = synth_grid(rho, (-9, 9, 161), (-9, 9, 161))
-    _t, f_coarse, _r = qfi_from_grid(coarse, 36)
-    _t, f_fine, _r = qfi_from_grid(fine, 36)
+    f_coarse = qfi_from_grid(coarse, 36)[1].value
+    f_fine = qfi_from_grid(fine, 36)[1].value
     assert abs(f_fine - f_coarse) / f_fine < 0.01
 
 
@@ -400,6 +410,127 @@ def test_psd_clip_never_exceeds_pure_variance_bound():
     theta = _theta
     op = math.cos(theta) * x + math.sin(theta) * p
     assert result.value <= 4.0 * fisher.variance(report.rho, op) + 1e-6
+
+
+# Grids like the benchmark's fixed-dim Wigner jobs, and grids near the dim cap
+# that resolve dims 150-200 (thermal and coherent states) and the alpha = 6 cat.
+FIXED = (-7.0, 7.0, 71)
+NEAR_CAP = (-22.0, 22.0, 361)
+CAT_NEAR_CAP = (-22.0, 22.0, 481)
+
+
+def _gaussian_grid(axis, var_major, var_minor, angle=0.0, x0=0.0, p0=0.0):
+    """Closed-form Gaussian W on a square grid, its major axis at ``angle``."""
+    xg, pg = np.meshgrid(np.linspace(*axis) - x0, np.linspace(*axis) - p0)
+    u = math.cos(angle) * xg + math.sin(angle) * pg
+    v = math.cos(angle) * pg - math.sin(angle) * xg
+    values = np.exp(-0.5 * u * u / var_major - 0.5 * v * v / var_minor)
+    return WignerGrid(*axis, *axis, values / (2.0 * math.pi * math.sqrt(var_major * var_minor)))
+
+
+def _squeezed_grid(axis, r, angle):
+    return _gaussian_grid(axis, 0.5 * math.exp(2.0 * r), 0.5 * math.exp(-2.0 * r), angle)
+
+
+def _thermal_grid(axis, nbar):
+    return _gaussian_grid(axis, nbar + 0.5, nbar + 0.5)
+
+
+def _coherent_grid(axis, alpha):
+    x0, p0 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+    return _gaussian_grid(axis, 0.5, 0.5, 0.0, x0, p0)
+
+
+def _even_cat_grid(axis, alpha):
+    """Closed-form W of (|alpha> + |-alpha>) / norm for real alpha."""
+    xg, pg = np.meshgrid(np.linspace(*axis), np.linspace(*axis))
+    x0 = math.sqrt(2.0) * alpha
+    values = (
+        np.exp(-((xg - x0) ** 2) - pg**2)
+        + np.exp(-((xg + x0) ** 2) - pg**2)
+        + 2.0 * np.exp(-(xg**2) - pg**2) * np.cos(2.0 * x0 * pg)
+    )
+    return WignerGrid(*axis, *axis, values / (2.0 * math.pi * (1.0 + math.exp(-2.0 * alpha**2))))
+
+
+def _even_cat_fhat(alpha):
+    return 2.0 + 4.0 * alpha**2 * (1.0 + math.tanh(alpha**2))
+
+
+def _qfi_matching_two_decomposition_path(grid, dim, old_method):
+    """``qfi_from_grid`` checked against ``qfi_max_quadrature`` of the reported rho.
+
+    The latter checks and decomposes rho a second time, as ``qfi_from_grid``
+    once did: ``old_method`` is the route it takes.  Where it took the
+    spectral route the two agree to rounding; where it certified rho pure it
+    used 4 Var of rho[:, k] / sqrt(rho_kk) rather than the exact QFI of the
+    clipped state, which differs by up to about 1e-9.
+    """
+    _theta, result, report = qfi_from_grid(grid, dim)
+    _a, x, p = quantum.fock_operators(report.dim, nu=0.5)
+    _theta, two = fisher.qfi_max_quadrature(report.rho, x, p)
+    assert (result.method, two.method) == ("spectral", old_method)
+    rel = 1e-12 if old_method == "spectral" else 1e-8
+    assert result.value == pytest.approx(two.value, rel=rel)
+    return result
+
+
+@pytest.mark.parametrize(
+    "make_grid,old_method",
+    [
+        (lambda: _squeezed_grid(FIXED, 0.45, 0.3), "pure-variance"),
+        (lambda: _squeezed_grid(FIXED, 0.7, 2.0), "spectral"),
+        (lambda: _even_cat_grid(FIXED, 1.7), "pure-variance"),
+        (lambda: _even_cat_grid(FIXED, 2.0), "spectral"),
+        (
+            lambda: synth_grid(quantum.squeezed_state(0.5, 60), (-10, 10, 101), (-10, 10, 101)),
+            "pure-variance",
+        ),
+    ],
+    ids=["squeezed-pure", "squeezed-mixed", "cat-pure", "cat-mixed", "squeezed-101"],
+)
+def test_handed_over_spectrum_matches_two_decomposition_path(make_grid, old_method):
+    _qfi_matching_two_decomposition_path(make_grid(), 32, old_method)
+
+
+@pytest.mark.parametrize(
+    "make_grid,dim,fhat,old_method",
+    [
+        (lambda: _thermal_grid(NEAR_CAP, 3.0), 150, 2.0 / 7.0, "spectral"),
+        (lambda: _thermal_grid(NEAR_CAP, 3.0), 200, 2.0 / 7.0, "spectral"),
+        (lambda: _coherent_grid(NEAR_CAP, 8.0 * np.exp(0.7j)), 150, 2.0, "pure-variance"),
+        (lambda: _even_cat_grid(CAT_NEAR_CAP, 6.0), 200, _even_cat_fhat(6.0), "pure-variance"),
+    ],
+    ids=["thermal-150", "thermal-200", "coherent-150", "cat-200"],
+)
+def test_near_cap_qfi_matches_closed_form(make_grid, dim, fhat, old_method):
+    result = _qfi_matching_two_decomposition_path(make_grid(), dim, old_method)
+    assert result.value == pytest.approx(fhat, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make_grid,dim",
+    [
+        (lambda: _even_cat_grid(FIXED, 1.7), 32),
+        (_coherent_patch, None),
+        (lambda: _thermal_grid(FIXED, 1.0), 32),
+        (lambda: _thermal_grid((-10.0, 10.0, 101), 1.0), None),
+    ],
+    ids=["pure", "pure-auto-dim", "mixed", "mixed-auto-dim"],
+)
+def test_qfi_from_grid_decomposes_once(monkeypatch, make_grid, dim):
+    grid = make_grid()
+    calls = []
+    eigh, eigvalsh, density = np.linalg.eigh, np.linalg.eigvalsh, quantum.density
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+    monkeypatch.setattr(quantum, "density", counting("density", density))
+    qfi_from_grid(grid, dim)
+    assert calls == ["eigh"]
 
 
 def test_auto_dim_raise():
