@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from typing import Mapping, Sequence
 
-from . import catalog, diffraction, measures, oscillator, quantum, wigner
+from . import catalog, diffraction, fisher, measures, oscillator, quantum, wigner
 from .errors import ConfigError, DomainError, MacrosizeError
-from .fisher import qfi_max_quadrature
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -307,9 +307,9 @@ def cmd_measure(args, out: Output) -> int:
         dim = cfg["dim"]
         parameters = {kind: names for kind, (names, _build) in quantum.STATE_BUILDERS.items()}
         params = variant_values(cfg, "state kind", cfg["kind"], parameters)
-        rho = quantum.make_state(cfg["kind"], dim, **params)
-        _a, x_op, p_op = quantum.fock_operators(dim, nu=0.5, hbar=1.0)
-        theta, result = qfi_max_quadrature(rho, x_op, p_op)
+        # Built states are decomposed by construction and need no check.
+        state = quantum.build_state(cfg["kind"], dim, **params)
+        theta, result = fisher._max_quadrature(state, quantum.annihilation(dim))
         out.note("fhat in the vacuum => 2.0 quadrature convention")
         _add_best_quadrature(theta, result, out)
     else:
@@ -324,7 +324,7 @@ def cmd_measure(args, out: Output) -> int:
 
 
 def _add_best_quadrature(theta: float, result, out: Output):
-    """The rows of a ``qfi_max_quadrature`` result, and a note when it is isotropic."""
+    """The rows of a best-quadrature QFI result, and a note when it is isotropic."""
     out.add("theta_star", theta, "rad")
     out.add("fhat", result.value)
     if result.diagnostics["isotropic"]:
@@ -569,10 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     out = Output()

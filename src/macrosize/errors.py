@@ -12,9 +12,13 @@ class DomainError(MacrosizeError):
 
 
 class TruncationError(DomainError):
-    """A truncated Fock representation leaves too much weight outside the basis."""
+    """A truncated Fock representation leaves too much weight outside the basis.
 
-    def __init__(self, message: str, tail_weight: float, suggested_dim: int):
+    ``suggested_dim`` is a dim that holds the state, or None when no dim up to
+    ``quantum.DIM_CAP`` does.
+    """
+
+    def __init__(self, message: str, tail_weight: float, suggested_dim: int | None):
         super().__init__(message)
         self.tail_weight = tail_weight
         self.suggested_dim = suggested_dim

@@ -29,11 +29,24 @@ matrix.  It gives either a certified pure vector psi, and then the QFI
 matrix costs one matrix-vector product per generator and no eigensolver,
 or the one ``quantum.eigh`` spectrum the QFI reads.  Their private cores
 ``_qfi``, ``_state_variance`` and ``_max_quadrature`` take a
-``quantum.Density`` that is already checked: a reconstruction from a
-Wigner grid arrives already decomposed, so ``wigner.qfi_from_grid`` hands
-its clipped spectrum straight to ``_max_quadrature``.  On 2 cores the best
-quadrature of squeezed vacuum takes about 40 ms at dim 600 and 0.5 s at
-dim 2000, most of it the Hermiticity checks of rho, x and p.
+``quantum.Density`` that is already checked.  Two kinds of state arrive
+already decomposed and go straight to ``_max_quadrature``: a Fock state from
+``quantum.build_state`` (a pure psi, or thermal weights with eigenvectors I),
+which ``macrosize measure`` uses, and a reconstruction from a Wigner grid,
+whose clipped spectrum ``wigner.qfi_from_grid`` hands over.
+
+``_max_quadrature`` takes the quadrature pair as one operator
+A = (x + ip) / sqrt2, so x = (A + A^+) / sqrt2 and p = (A - A^+) / (i sqrt2)
+for any Hermitian x, p; for the nu = 1/2 quadratures A is the ladder
+operator ``quantum.annihilation``.  A spectrum is rotated once, A_hat =
+V^+ (A V), two GEMMs where rotating x and p took four, and the rotated x
+and p are the Hermitian parts of A_hat; a pure state takes A psi and
+A^+ psi.  ``qfi_max_quadrature`` builds A from its checked x and p.  On 2
+cores the best quadrature of a built squeezed vacuum takes about 1 ms
+at dim 600 and 12 ms at dim 2000, and of a built thermal state 70 ms and
+1.3 s, most of it the two GEMMs with V = I.  Through ``qfi_max_quadrature``
+squeezed vacuum takes about 9 ms and 0.17 s, most of it the Hermiticity
+checks of rho, x and p and forming A.
 """
 
 from __future__ import annotations
@@ -58,6 +71,7 @@ ANGLE_FOLD_ATOL = 1e-12
 # Grid cells with p below this times max(p) would let numerical tails of
 # p'^2/p dominate the classical FI integral; they are excluded instead.
 FLOOR_FACTOR = 1e-12
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -89,31 +103,33 @@ def variance(rho: np.ndarray, operator: np.ndarray) -> float:
 def _state_variance(state: quantum.Density, operator: np.ndarray) -> float:
     """``variance`` of a checked state: ||B psi||^2 if certified pure, else tr(rho B^2)."""
     if state.psi is not None:
-        centered = _centered_vector(state.psi, operator)
+        centered = _centered(state.psi, operator @ state.psi)
         return float(np.real(np.vdot(centered, centered)))
     rho = state.rho
     centered = operator - quantum.expectation(rho, operator) * np.eye(operator.shape[0])
     return quantum.expectation(rho @ centered, centered)  # tr(rho B B)
 
 
-def _centered_vector(psi: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    """B psi = A psi - <A> psi for a unit vector psi, from one matrix-vector product."""
-    a_psi = operator @ psi
-    return a_psi - float(np.real(np.vdot(psi, a_psi))) * psi
+def _centered(psi: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """B psi = A psi - <A> psi of a unit vector psi, from its ``image`` A psi."""
+    return image - float(np.real(np.vdot(psi, image))) * psi
 
 
-def _qfi_matrix(state: quantum.Density, operators):
+def _qfi_matrix(state: quantum.Density, images, rotations):
     """QFI matrix F_ab of a checked state for Hermitian generators A_a.
 
-    Returns ``(F, method, diagnostics, discarded)``.  ``discarded`` is None on
-    the pure path; on the spectral path it is the matrix sum over the
-    discarded pairs of Re(<i|A_a|j> conj(<i|A_b|j>)), which callers contract
-    with the direction they report.
+    ``images(psi)`` gives the vectors A_a psi of a pure state and
+    ``rotations(V)`` the matrices V^+ A_a V in the eigenbasis of a spectrum;
+    only the one the state's decomposition needs is called.  Returns ``(F,
+    method, diagnostics, discarded)``.  ``discarded`` is None on the pure
+    path; on the spectral path it is the matrix sum over the discarded pairs
+    of Re(<i|A_a|j> conj(<i|A_b|j>)), which callers contract with the
+    direction they report.
     """
-    count = len(operators)
-    matrix = np.empty((count, count))
     if state.psi is not None:
-        centered = [_centered_vector(state.psi, op) for op in operators]
+        centered = [_centered(state.psi, image) for image in images(state.psi)]
+        count = len(centered)
+        matrix = np.empty((count, count))
         for a in range(count):
             for b in range(a, count):
                 second = float(np.real(np.vdot(centered[a], centered[b])))
@@ -121,7 +137,9 @@ def _qfi_matrix(state: quantum.Density, operators):
         return matrix, "pure-variance", {"purity": state.purity}, None
 
     lam, vec = state.spectrum
-    rotated = [vec.conj().T @ op @ vec for op in operators]
+    rotated = rotations(vec)
+    count = len(rotated)
+    matrix = np.empty((count, count))
     sums = lam[:, None] + lam[None, :]
     diffs = lam[:, None] - lam[None, :]
     threshold = PAIR_THRESHOLD_FACTOR * float(lam[0])
@@ -161,7 +179,11 @@ def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
 def _qfi(state: quantum.Density, operator: np.ndarray) -> FisherResult:
     """``qfi`` of a checked state."""
     operator = _checked_operator(state.rho.shape, operator)
-    matrix, method, diagnostics, discarded = _qfi_matrix(state, [operator])
+    matrix, method, diagnostics, discarded = _qfi_matrix(
+        state,
+        lambda psi: [operator @ psi],
+        lambda vec: [vec.conj().T @ operator @ vec],
+    )
     return _result(float(matrix[0, 0]), method, diagnostics, discarded, np.ones(1))
 
 
@@ -228,12 +250,36 @@ def qfi_max_quadrature(rho: np.ndarray, x_op: np.ndarray, p_op: np.ndarray):
     state = quantum.density(rho)
     x_op = _checked_operator(state.rho.shape, x_op, "x quadrature")
     p_op = _checked_operator(state.rho.shape, p_op, "p quadrature")
-    return _max_quadrature(state, x_op, p_op)
+    return _max_quadrature(state, (x_op + 1j * p_op) / SQRT2)
 
 
-def _max_quadrature(state: quantum.Density, x_op: np.ndarray, p_op: np.ndarray):
-    """``qfi_max_quadrature`` of a checked state and Hermitian quadratures of its shape."""
-    matrix, method, diagnostics, discarded = _qfi_matrix(state, [x_op, p_op])
+def _quadratures(a_part: np.ndarray, a_dagger_part: np.ndarray) -> list:
+    """x = (A + A^+) / sqrt2 and p = (A - A^+) / (i sqrt2), from the images (or
+    rotations) of A and A^+."""
+    x_part = a_part + a_dagger_part
+    x_part /= SQRT2
+    p_part = a_part - a_dagger_part
+    p_part /= 1j * SQRT2
+    return [x_part, p_part]
+
+
+def _max_quadrature(state: quantum.Density, a_op: np.ndarray):
+    """``qfi_max_quadrature`` of a checked state, with its quadrature pair given
+    as one operator A = (x + ip) / sqrt2 of its shape, x and p Hermitian.
+
+    A pure state takes A psi and A^+ psi; a spectrum takes one rotation
+    A_hat = V^+ (A V), whose Hermitian parts are the rotated x and p.  For
+    nu = 1/2 quadratures A is the ladder operator ``quantum.annihilation``.
+    """
+    def images(psi):
+        # A^+ psi = (psi^+ A)^+, with no conjugate copy of A.
+        return _quadratures(a_op @ psi, (psi.conj() @ a_op).conj())
+
+    def rotations(vec):
+        a_hat = vec.conj().T @ (a_op @ vec)
+        return _quadratures(a_hat, a_hat.conj().T)
+
+    matrix, method, diagnostics, discarded = _qfi_matrix(state, images, rotations)
     (f_xx, f_xp), (_f_px, f_pp) = matrix
     # F(theta) = (f_xx + f_pp) / 2 + (f_xx - f_pp) / 2 cos 2theta + f_xp sin 2theta
     eigengap = math.hypot(f_xx - f_pp, 2.0 * f_xp)

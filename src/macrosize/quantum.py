@@ -4,11 +4,16 @@ Everything here works on plain ``numpy`` arrays.  On the dense path
 operators are ``(d, d)`` complex matrices, and density matrices
 additionally satisfy Hermiticity, unit trace and positivity:
 :func:`density` is the package's one check of them, and keeps its
-decomposition for the QFI; a Wigner-grid reconstruction arrives already
-decomposed.  Pure qubit registers also have a structured path: a 1-D
-state vector with real 1-D diagonals for observables that are diagonal in
-the computational basis (see :func:`ghz_vector`), which costs O(2**n) per
-observable instead of O(4**n) storage and O(8**n) algebra.
+decomposition for the QFI.  Two kinds of state arrive already decomposed
+and need no check: a Fock state from :func:`build_state` (its pure psi, or
+thermal weights with eigenvectors I; :func:`make_state` and the
+per-kind constructors return its rho) and a Wigner-grid reconstruction.
+The QFI takes the quadrature pair as one operator A = (x + ip) / sqrt2,
+which for nu = 1/2 is :func:`annihilation`.  Pure qubit registers also
+have a structured path: a 1-D state vector with real 1-D diagonals for
+observables that are diagonal in the computational basis (see
+:func:`ghz_vector`), which costs O(2**n) per observable instead of
+O(4**n) storage and O(8**n) algebra.
 All functions are pure; arrays are never mutated in place.
 """
 
@@ -98,7 +103,11 @@ def purity(rho: np.ndarray) -> float:
 
 
 class Density(NamedTuple):
-    """A checked rho and its one decomposition: a pure ``psi`` or an :func:`eigh` ``spectrum``."""
+    """A checked rho and its one decomposition: a pure ``psi`` or a ``spectrum``.
+
+    The spectrum is that of :func:`eigh`, or of a state decomposed by
+    construction: descending eigenvalues and orthonormal eigenvectors.
+    """
 
     rho: np.ndarray
     purity: float
@@ -191,24 +200,35 @@ def eigh(matrix: np.ndarray) -> Spectrum:
 # Fock-space operators and states
 # ---------------------------------------------------------------------------
 
+def annihilation(dim: int) -> np.ndarray:
+    """The annihilation operator, <m|a|n> = sqrt(n) delta_{m,n-1}, on ``dim`` Fock levels.
+
+    At nu = 1/2 and hbar = 1 it is the quadrature pair A = (x + ip) / sqrt2
+    of :func:`fock_operators` (to rounding), the form in which the
+    best-quadrature QFI takes x and p.
+    """
+    if dim < 2:
+        raise DomainError(f"Fock dimension must be >= 2, got {dim}")
+    a = np.zeros((dim, dim), dtype=complex)
+    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1.0, dim))
+    return a
+
+
 def fock_operators(dim: int, nu: float = 0.5, hbar: float = 1.0):
     """Annihilation, position and momentum operators on a truncated Fock space.
 
-    <m|a|n> = sqrt(n) delta_{m,n-1}.  ``nu`` is the ground-state position
+    a is :func:`annihilation`.  ``nu`` is the ground-state position
     variance, so x = sqrt(nu) (a + a+) and p = (hbar / 2 sqrt(nu)) i (a+ - a).
     Truncation artifacts (the missing ladder rung) only affect row/column
     ``dim - 1``.
     """
-    if dim < 2:
-        raise DomainError(f"Fock dimension must be >= 2, got {dim}")
+    a = annihilation(dim)
     require_positive(nu=nu)
     # Written straight onto the off-diagonals: <n-1|x|n> = <n|x|n-1> =
     # sqrt(nu n) and <n-1|p|n> = -<n|p|n-1> = -i c sqrt(n), c = hbar / 2 sqrt(nu).
     rungs = np.sqrt(np.arange(1.0, dim))
     upper = (np.arange(dim - 1), np.arange(1, dim))
     lower = upper[::-1]
-    a = np.zeros((dim, dim), dtype=complex)
-    a[upper] = rungs
     x = np.zeros((dim, dim), dtype=complex)
     x[upper] = x[lower] = math.sqrt(nu) * rungs
     p = np.zeros((dim, dim), dtype=complex)
@@ -218,40 +238,62 @@ def fock_operators(dim: int, nu: float = 0.5, hbar: float = 1.0):
     return a, x, p
 
 
-def _suggest_dim(weights_tail: "callable", start: int) -> int:
-    """Smallest dimension whose analytic tail weight drops below TAIL_THRESHOLD."""
+def _suggest_dim(tail_of_dim, start: int) -> int | None:
+    """First dim of the ladder start, 1.5 start + 1, ... (capped at DIM_CAP) whose
+    tail weight drops below TAIL_THRESHOLD, or None when DIM_CAP does not."""
     dim = max(start, 2)
-    while weights_tail(dim) >= TAIL_THRESHOLD and dim < DIM_CAP:
+    while tail_of_dim(dim) >= TAIL_THRESHOLD:
+        if dim >= DIM_CAP:
+            return None
         dim = min(int(dim * 1.5) + 1, DIM_CAP)
     return dim
+
+
+BEYOND_CAP = f"no dim up to DIM_CAP = {DIM_CAP} holds the state"
 
 
 def _check_tail(tail: float, dim: int, tail_of_dim, label: str) -> float:
     if tail >= TAIL_THRESHOLD:
         suggested = _suggest_dim(tail_of_dim, dim + 1)
+        advice = BEYOND_CAP if suggested is None else f"use dim >= {suggested}"
         raise TruncationError(
-            f"{label}: truncated tail weight {tail:.3e} >= {TAIL_THRESHOLD:.1e}; "
-            f"use dim >= {suggested}",
+            f"{label}: truncated tail weight {tail:.3e} >= {TAIL_THRESHOLD:.1e}; {advice}",
             tail_weight=tail,
             suggested_dim=suggested,
         )
     return tail
 
 
+# Each Fock-state kind has a private builder that returns the state as a
+# Density decomposed by construction, so it needs no check by density(): a
+# pure state carries its normalized psi, a thermal state its descending
+# weights with eigenvectors I.  The public constructors return its rho.
+
+
+def _pure_density(psi: np.ndarray) -> Density:
+    """rho = psi psi^+ of a unit vector ``psi``, carrying ``psi``."""
+    rho = np.outer(psi, psi.conj())
+    return Density(rho, purity(rho), psi, None)
+
+
+def _number(n: int, dim: int) -> Density:
+    if not 0 <= n < dim:
+        if n >= DIM_CAP:
+            raise TruncationError(
+                f"number state |{n}> does not fit in dim {dim}; {BEYOND_CAP}", 1.0, None
+            )
+        raise TruncationError(f"number state |{n}> does not fit in dim {dim}", 1.0, n + 1)
+    psi = np.zeros(dim, dtype=complex)
+    psi[n] = 1.0
+    return _pure_density(psi)
+
+
 def vacuum_state(dim: int) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+    return _number(0, dim).rho
 
 
 def number_state(n: int, dim: int) -> np.ndarray:
-    if not 0 <= n < dim:
-        raise TruncationError(
-            f"number state |{n}> does not fit in dim {dim}", 1.0, n + 1
-        )
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[n, n] = 1.0
-    return rho
+    return _number(n, dim).rho
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -266,8 +308,8 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return np.exp(log_mag - 0.5 * abs(alpha) ** 2) * phases
 
 
-def _pure_state(amplitudes, dim: int, exact_norm2: float, label: str) -> np.ndarray:
-    """|psi><psi| of the normalized ``amplitudes(dim)``.
+def _pure_state(amplitudes, dim: int, exact_norm2: float, label: str) -> Density:
+    """The pure state of the normalized ``amplitudes(dim)``.
 
     ``exact_norm2`` is the untruncated norm squared of the amplitudes;
     a truncated tail weight at or above TAIL_THRESHOLD raises
@@ -280,18 +322,20 @@ def _pure_state(amplitudes, dim: int, exact_norm2: float, label: str) -> np.ndar
         return 1.0 - float(np.sum(np.abs(amplitudes(d)) ** 2)) / exact_norm2
 
     _check_tail(1.0 - norm2 / exact_norm2, dim, tail_of, label)
-    psi = amps / math.sqrt(norm2)
-    return np.outer(psi, psi.conj())
+    return _pure_density(amps / math.sqrt(norm2))
 
 
-def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+def _coherent(alpha: complex, dim: int) -> Density:
     return _pure_state(
         lambda d: coherent_amplitudes(alpha, d), dim, 1.0, f"coherent alpha={alpha}"
     )
 
 
-def cat_state(alpha: complex, dim: int) -> np.ndarray:
-    """Normalized superposition of |alpha> and |-alpha>."""
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    return _coherent(alpha, dim).rho
+
+
+def _cat(alpha: complex, dim: int) -> Density:
     # Exact (untruncated) norm of |a> + |-a> is 2(1 + exp(-2|a|^2)).
     exact_norm2 = 2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))
     return _pure_state(
@@ -302,17 +346,27 @@ def cat_state(alpha: complex, dim: int) -> np.ndarray:
     )
 
 
-def thermal_state(nbar: float, dim: int) -> np.ndarray:
-    """Bose thermal state with mean occupation ``nbar``, p = nbar/(1+nbar)."""
+def cat_state(alpha: complex, dim: int) -> np.ndarray:
+    """Normalized superposition of |alpha> and |-alpha>."""
+    return _cat(alpha, dim).rho
+
+
+def _thermal(nbar: float, dim: int) -> Density:
     require_nonnegative(nbar=nbar)
     if nbar == 0:
-        return vacuum_state(dim)
+        return _number(0, dim)
     p = nbar / (1.0 + nbar)
     tail_of = lambda d: p**d
     _check_tail(p**dim, dim, tail_of, f"thermal nbar={nbar}")
     weights = (1.0 - p) * p ** np.arange(dim)
     weights /= weights.sum()
-    return np.diag(weights).astype(complex)
+    rho = np.diag(weights).astype(complex)
+    return Density(rho, purity(rho), None, Spectrum(weights, np.eye(dim, dtype=complex)))
+
+
+def thermal_state(nbar: float, dim: int) -> np.ndarray:
+    """Bose thermal state with mean occupation ``nbar``, p = nbar/(1+nbar)."""
+    return _thermal(nbar, dim).rho
 
 
 def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
@@ -326,23 +380,28 @@ def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
     return amps
 
 
-def squeezed_state(r: float, dim: int) -> np.ndarray:
+def _squeezed(r: float, dim: int) -> Density:
     return _pure_state(lambda d: squeezed_amplitudes(r, d), dim, 1.0, f"squeezed r={r}")
 
 
-# kind -> (its parameter names, builder(dim, **parameters))
+def squeezed_state(r: float, dim: int) -> np.ndarray:
+    return _squeezed(r, dim).rho
+
+
+# kind -> (its parameter names, builder(dim, **parameters) of its Density)
 STATE_BUILDERS = {
-    "vacuum": ((), lambda dim: vacuum_state(dim)),
-    "number": (("n",), lambda dim, n: number_state(int(n), dim)),
-    "coherent": (("alpha",), lambda dim, alpha: coherent_state(alpha, dim)),
-    "cat": (("alpha",), lambda dim, alpha: cat_state(alpha, dim)),
-    "thermal": (("nbar",), lambda dim, nbar: thermal_state(nbar, dim)),
-    "squeezed": (("r",), lambda dim, r: squeezed_state(r, dim)),
+    "vacuum": ((), lambda dim: _number(0, dim)),
+    "number": (("n",), lambda dim, n: _number(int(n), dim)),
+    "coherent": (("alpha",), lambda dim, alpha: _coherent(alpha, dim)),
+    "cat": (("alpha",), lambda dim, alpha: _cat(alpha, dim)),
+    "thermal": (("nbar",), lambda dim, nbar: _thermal(nbar, dim)),
+    "squeezed": (("r",), lambda dim, r: _squeezed(r, dim)),
 }
 
 
-def make_state(kind: str, dim: int, **params) -> np.ndarray:
-    """Dispatch constructor: kind in {vacuum, number, coherent, cat, thermal, squeezed}."""
+def build_state(kind: str, dim: int, **params) -> Density:
+    """The Density of a Fock state, kind in {vacuum, number, coherent, cat, thermal,
+    squeezed}, decomposed by construction."""
     try:
         names, builder = STATE_BUILDERS[kind]
     except KeyError:
@@ -354,6 +413,11 @@ def make_state(kind: str, dim: int, **params) -> np.ndarray:
     if dim < 2 or dim > DIM_CAP:
         raise DomainError(f"dim must be in [2, {DIM_CAP}], got {dim}")
     return builder(dim, **params)
+
+
+def make_state(kind: str, dim: int, **params) -> np.ndarray:
+    """The density matrix of :func:`build_state`."""
+    return build_state(kind, dim, **params).rho
 
 
 # ---------------------------------------------------------------------------

@@ -437,8 +437,7 @@ def qfi_from_grid(grid: WignerGrid, dim: int | None = None):
     convention where the vacuum value is 2.0 (quadrature vacuum variance 1/2).
     """
     report = reconstruct(grid, dim)
-    _a, x_op, p_op = quantum.fock_operators(report.dim, nu=0.5, hbar=1.0)
-    theta, result = fisher._max_quadrature(report.state, x_op, p_op)
+    theta, result = fisher._max_quadrature(report.state, quantum.annihilation(report.dim))
     return theta, result, report
 
 

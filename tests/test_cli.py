@@ -623,6 +623,73 @@ def test_console_entry_point():
     assert "n_ext_momentum" in proc.stdout
 
 
+def test_parser_built_once_keeps_separate_process_output(monkeypatch, capsys):
+    # The parser is built once per process: an argparse error exit must leave
+    # nothing behind, so each call prints what a fresh process prints.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["catalog", "--what", "bogus"],
+        ["catalog", "--what", "nh"],
+        ["--format", "yaml", "catalog", "--what", "nh"],
+        ["measure"],
+        ["--help"],
+        ["wigner", "--help"],
+        ["--format", "csv", "catalog", "--what", "flux"],
+    ]
+    in_process = [run_cli(argv, capsys) for argv in calls]
+    env = dict(_subprocess_env(), COLUMNS="80")
+    for argv, got in zip(calls, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "macrosize.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [code for code, _out, _err in in_process] == [2, 0, 2, 2, 0, 0, 0]
+
+
+FOCK_KINDS = [
+    {"kind": "vacuum"},
+    {"kind": "number", "n": 7},
+    {"kind": "coherent", "alpha": 1.5},
+    {"kind": "cat", "alpha": 2.0},
+    {"kind": "thermal", "nbar": 1.5},
+    {"kind": "squeezed", "r": 0.7},
+]
+
+
+@pytest.mark.parametrize("params", FOCK_KINDS, ids=[p["kind"] for p in FOCK_KINDS])
+def test_measure_fock_runs_no_eigensolver_and_no_hermiticity_check(
+    tmp_path, capsys, monkeypatch, params
+):
+    # Built states arrive decomposed: the job checks nothing it built itself.
+    calls = []
+    eigh, eigvalsh, hermitian = np.linalg.eigh, np.linalg.eigvalsh, quantum.require_hermitian
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+    monkeypatch.setattr(quantum, "require_hermitian", counting("require_hermitian", hermitian))
+    cfg = write_json(tmp_path / "fock.json", {"system": "fock", "dim": 80, **params})
+    code, out, err = run_cli(["measure", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert "fhat" in out
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"kind": "thermal", "nbar": 1e9}, {"kind": "coherent", "alpha": 100}],
+    ids=["thermal", "coherent"],
+)
+def test_measure_fock_beyond_the_cap_names_no_dim(tmp_path, capsys, params):
+    cfg = write_json(tmp_path / "fock.json", {"system": "fock", "dim": 100, **params})
+    code, out, err = run_cli(["measure", cfg], capsys)
+    assert (code, out) == (3, "")
+    assert err.endswith(f"no dim up to DIM_CAP = {quantum.DIM_CAP} holds the state\n")
+    assert "use dim" not in err
+
+
 # ---------------------------------------------------------------------------
 # finite inputs whose results are not finite, and the mode config's order
 # ---------------------------------------------------------------------------

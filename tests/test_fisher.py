@@ -377,6 +377,59 @@ def test_pure_quadrature_calls_no_eigensolver(rho, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# built states arrive decomposed; the quadrature pair is one operator A
+# ---------------------------------------------------------------------------
+
+# kind, its benchmark dim, parameters in the benchmark's ranges
+BENCHMARK_STATES = [
+    ("vacuum", 140, {}),
+    ("number", 180, {"n": 13}),
+    ("coherent", 120, {"alpha": 2.7}),
+    ("cat", 140, {"alpha": 2.2}),
+    ("thermal", 140, {"nbar": 2.5}),
+    ("squeezed", 160, {"r": 0.9}),
+]
+
+
+@pytest.mark.parametrize("near_cap", [False, True], ids=["benchmark-dim", "dim-600"])
+@pytest.mark.parametrize(
+    "kind,dim,params", BENCHMARK_STATES, ids=[kind for kind, _d, _p in BENCHMARK_STATES]
+)
+def test_built_state_matches_checked_state(kind, dim, params, near_cap):
+    # A built state skips the check, the pure certificate and the eigensolver,
+    # and takes the ladder operator as its quadrature pair.
+    dim = 600 if near_cap else dim
+    theta, built = fisher._max_quadrature(
+        quantum.build_state(kind, dim, **params), quantum.annihilation(dim)
+    )
+    _a, x, p = quantum.fock_operators(dim, nu=0.5)
+    checked_theta, checked = fisher.qfi_max_quadrature(quantum.make_state(kind, dim, **params), x, p)
+    assert built.method == checked.method
+    assert built.diagnostics["isotropic"] == checked.diagnostics["isotropic"]
+    assert built.value == pytest.approx(checked.value, rel=1e-12, abs=0.0)
+    assert theta == pytest.approx(checked_theta, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 12, 40])
+def test_general_quadrature_pair_matches_four_rotations(dim):
+    # One rotation of A = (x + ip) / sqrt2 against V^+ x V and V^+ p V, for a
+    # random Hermitian pair that is no ladder.
+    rng = np.random.default_rng(40 + dim)
+    x, p = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    states = [random_pure(rng, dim), random_density(rng, dim)]
+    if dim > 2:
+        states.append(random_density(rng, dim, max(2, dim // 3)))
+    for rho in states:
+        expected = reference_qfi_matrix(rho, [x, p])
+        values, vectors = np.linalg.eigh(expected)
+        theta, result = fisher.qfi_max_quadrature(rho, x, p)
+        assert result.value == pytest.approx(values[-1], rel=1e-12, abs=0.0)
+        assert result.diagnostics["eigengap"] == pytest.approx(values[-1] - values[0], rel=1e-12)
+        top = vectors[:, -1]
+        assert theta == pytest.approx(math.atan2(top[1], top[0]) % math.pi, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # invariants on random ensembles
 # ---------------------------------------------------------------------------
 

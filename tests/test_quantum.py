@@ -146,6 +146,17 @@ def test_fock_operators_bit_identical_to_dense_construction(dim, nu, hbar):
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 120, 180, 600])
+def test_annihilation_is_the_quadrature_pair(dim):
+    a, x, p = quantum.fock_operators(dim, nu=0.5)
+    assert np.array_equal(quantum.annihilation(dim), a)
+    # Equal to rounding, not bitwise: p's prefactor 1 / (2 sqrt(1/2)) rounds
+    # one ulp below x's sqrt(1/2), which leaves about 1e-16 sqrt(n) on the
+    # sub-diagonal of (x + ip) / sqrt2.
+    pair = (x + 1j * p) / math.sqrt(2.0)
+    assert np.max(np.abs(pair - a)) <= 4.0 * np.finfo(float).eps * math.sqrt(dim)
+
+
 def test_max_asymmetry_matches_full_expression():
     rng = np.random.default_rng(11)
     for trial in range(60):
@@ -241,6 +252,102 @@ def test_make_state_constructors_pass_invariants():
     ]:
         rho = quantum.make_state(kind, 40, **params)
         quantum.validate_density(rho)
+
+
+def _amplitudes_of(kind, params):
+    if kind == "coherent":
+        return lambda d: quantum.coherent_amplitudes(params["alpha"], d)
+    if kind == "cat":
+        alpha = params["alpha"]
+        return lambda d: quantum.coherent_amplitudes(alpha, d) + quantum.coherent_amplitudes(-alpha, d)
+    return lambda d: quantum.squeezed_amplitudes(params["r"], d)
+
+
+def _old_make_state(kind, dim, **params):
+    # The construction make_state used before built states carried their
+    # decomposition: a one-hot rho, diag(weights), or psi psi^+ of the
+    # normalized amplitudes.
+    if kind in ("vacuum", "number"):
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[params.get("n", 0), params.get("n", 0)] = 1.0
+        return rho
+    if kind == "thermal":
+        p = params["nbar"] / (1.0 + params["nbar"])
+        weights = (1.0 - p) * p ** np.arange(dim)
+        weights /= weights.sum()
+        return np.diag(weights).astype(complex)
+    amps = _amplitudes_of(kind, params)(dim)
+    psi = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    return np.outer(psi, psi.conj())
+
+
+BUILT_STATES = [
+    ("vacuum", {}),
+    ("number", {"n": 13}),
+    ("coherent", {"alpha": 2.7}),
+    ("coherent", {"alpha": 1.9 * np.exp(0.4j)}),
+    ("cat", {"alpha": 2.2}),
+    ("thermal", {"nbar": 2.5}),
+    ("squeezed", {"r": 0.9}),
+]
+
+
+@pytest.mark.parametrize("dim", [120, 140, 180, 600])
+@pytest.mark.parametrize("kind,params", BUILT_STATES)
+def test_built_states_are_decomposed_and_keep_their_bytes(kind, params, dim):
+    state = quantum.build_state(kind, dim, **params)
+    rho = quantum.make_state(kind, dim, **params)
+    assert np.array_equal(rho.view(np.int64), _old_make_state(kind, dim, **params).view(np.int64))
+    assert np.array_equal(state.rho.view(np.int64), rho.view(np.int64))
+    assert state.purity == quantum.purity(rho)
+    if kind == "thermal":
+        assert state.psi is None
+        lam, vec = state.spectrum
+        assert np.all(np.diff(lam) <= 0.0)
+        assert np.array_equal(lam, np.real(np.diagonal(rho)))
+        assert np.array_equal(vec, np.eye(dim))
+    else:
+        assert state.spectrum is None
+        assert np.linalg.norm(state.psi) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(np.outer(state.psi, state.psi.conj()), rho)
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("thermal", {"nbar": 1e9}),
+        ("coherent", {"alpha": 100.0}),
+        ("cat", {"alpha": 100.0}),
+        ("squeezed", {"r": 12.0}),
+        ("number", {"n": 5000}),
+    ],
+)
+def test_truncation_beyond_the_cap_suggests_no_dim(kind, params):
+    message = f"no dim up to DIM_CAP = {quantum.DIM_CAP} holds the state$"
+    with pytest.raises(TruncationError, match=message) as excinfo:
+        quantum.make_state(kind, 100, **params)
+    assert excinfo.value.suggested_dim is None
+    assert "use dim" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("thermal", {"nbar": 40.0}),
+        ("coherent", {"alpha": 20.0}),
+        ("cat", {"alpha": 20.0}),
+        ("squeezed", {"r": 2.0}),
+        ("number", {"n": 300}),
+    ],
+)
+def test_suggested_dim_builds(kind, params):
+    with pytest.raises(TruncationError) as excinfo:
+        quantum.make_state(kind, 100, **params)
+    suggested = excinfo.value.suggested_dim
+    assert 100 < suggested <= quantum.DIM_CAP
+    if kind != "number":
+        assert str(excinfo.value).endswith(f"use dim >= {suggested}")
+    quantum.make_state(kind, suggested, **params)
 
 
 @pytest.mark.parametrize(
