@@ -304,12 +304,11 @@ def cmd_measure(args, out: Output) -> int:
         _add_sizes(report, out)
         out.note("n_ext normalized to a unit spin observable (A0 = 1)")
     elif system == "fock":
-        dim = cfg["dim"]
         parameters = {kind: names for kind, (names, _build) in quantum.STATE_BUILDERS.items()}
         params = variant_values(cfg, "state kind", cfg["kind"], parameters)
         # Built states are decomposed by construction and need no check.
-        state = quantum.build_state(cfg["kind"], dim, **params)
-        theta, result = fisher._max_quadrature(state, quantum.annihilation(dim))
+        state = quantum.build_state(cfg["kind"], cfg["dim"], **params)
+        theta, result = fisher._max_quadrature(state)
         out.note("fhat in the vacuum => 2.0 quadrature convention")
         _add_best_quadrature(theta, result, out)
     else:

@@ -37,16 +37,19 @@ whose clipped spectrum ``wigner.qfi_from_grid`` hands over.
 
 ``_max_quadrature`` takes the quadrature pair as one operator
 A = (x + ip) / sqrt2, so x = (A + A^+) / sqrt2 and p = (A - A^+) / (i sqrt2)
-for any Hermitian x, p; for the nu = 1/2 quadratures A is the ladder
-operator ``quantum.annihilation``.  A spectrum is rotated once, A_hat =
-V^+ (A V), two GEMMs where rotating x and p took four, and the rotated x
-and p are the Hermitian parts of A_hat; a pure state takes A psi and
-A^+ psi.  ``qfi_max_quadrature`` builds A from its checked x and p.  On 2
-cores the best quadrature of a built squeezed vacuum takes about 1 ms
-at dim 600 and 12 ms at dim 2000, and of a built thermal state 70 ms and
-1.3 s, most of it the two GEMMs with V = I.  Through ``qfi_max_quadrature``
-squeezed vacuum takes about 9 ms and 0.17 s, most of it the Hermiticity
-checks of rho, x and p and forming A.
+for any Hermitian x, p, and reads A only through its action v -> A v,
+v -> A^+ v.  For the nu = 1/2 quadratures A is the ladder operator, whose
+action is the O(d) row shifts ``quantum.annihilate`` and ``quantum.create``;
+``qfi_max_quadrature`` passes the action of the dense A it builds from its
+checked x and p.  The 2x2 matrix then needs two sums, S0 and S1: from
+A psi and A^+ psi for a pure state, and from one rotation
+A_hat = V^+ (A V), a row shift and one GEMM, for a spectrum.  A built
+thermal state carries the real identity as V, so its rotation is one real
+GEMM.  On 2 cores the best quadrature of a built squeezed vacuum takes
+about 0.05 ms at dim 600 and 0.1 ms at dim 2000, and of a built thermal
+state 10 ms and 0.27 s, most of it the GEMM and the pair weights.  Through
+``qfi_max_quadrature`` squeezed vacuum takes about 9 ms and 0.16 s, most of
+it the Hermiticity checks of rho, x and p and forming A.
 """
 
 from __future__ import annotations
@@ -115,60 +118,29 @@ def _centered(psi: np.ndarray, image: np.ndarray) -> np.ndarray:
     return image - float(np.real(np.vdot(psi, image))) * psi
 
 
-def _qfi_matrix(state: quantum.Density, images, rotations):
-    """QFI matrix F_ab of a checked state for Hermitian generators A_a.
+def _pair_weights(state: quantum.Density):
+    """The spectral QFI's pair weights w_ij = (l_i - l_j)^2 / (l_i + l_j).
 
-    ``images(psi)`` gives the vectors A_a psi of a pure state and
-    ``rotations(V)`` the matrices V^+ A_a V in the eigenbasis of a spectrum;
-    only the one the state's decomposition needs is called.  Returns ``(F,
-    method, diagnostics, discarded)``.  ``discarded`` is None on the pure
-    path; on the spectral path it is the matrix sum over the discarded pairs
-    of Re(<i|A_a|j> conj(<i|A_b|j>)), which callers contract with the
-    direction they report.
+    Pairs with l_i + l_j at or below PAIR_THRESHOLD_FACTOR * l_0 are 0/0
+    artifacts of rank deficiency: their weight is 0, and they come back as
+    the boolean mask ``dropped``, whose overlap mass callers report.  Returns
+    ``(weights, dropped, diagnostics)``.
     """
-    if state.psi is not None:
-        centered = [_centered(state.psi, image) for image in images(state.psi)]
-        count = len(centered)
-        matrix = np.empty((count, count))
-        for a in range(count):
-            for b in range(a, count):
-                second = float(np.real(np.vdot(centered[a], centered[b])))
-                matrix[a, b] = matrix[b, a] = 4.0 * second
-        return matrix, "pure-variance", {"purity": state.purity}, None
-
-    lam, vec = state.spectrum
-    rotated = rotations(vec)
-    count = len(rotated)
-    matrix = np.empty((count, count))
+    lam = state.spectrum.eigenvalues
     sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
     threshold = PAIR_THRESHOLD_FACTOR * float(lam[0])
     keep = sums > threshold
-    weights = np.zeros_like(sums)
-    weights[keep] = diffs[keep] ** 2 / sums[keep]
-    discarded = np.empty((count, count))
-    for a in range(count):
-        for b in range(a, count):
-            if a == b:
-                overlap = np.abs(rotated[a]) ** 2
-            else:
-                overlap = np.real(rotated[a] * np.conj(rotated[b]))
-            matrix[a, b] = matrix[b, a] = 2.0 * float(np.sum(weights * overlap))
-            discarded[a, b] = discarded[b, a] = float(np.sum(overlap[~keep]))
+    dropped = ~keep
+    weights = lam[:, None] - lam[None, :]
+    weights *= weights
+    np.divide(weights, sums, out=weights, where=keep)
+    weights[dropped] = 0.0
     diagnostics = {
         "purity": state.purity,
-        "discarded_pairs": int(np.count_nonzero(~keep)),
+        "discarded_pairs": int(np.count_nonzero(dropped)),
         "pair_threshold": threshold,
     }
-    return matrix, "spectral", diagnostics, discarded
-
-
-def _result(value, method, diagnostics, discarded, direction) -> FisherResult:
-    """FisherResult clamped at 0, with the discarded mass along ``direction``."""
-    if discarded is not None:
-        mass = float(direction @ discarded @ direction)
-        diagnostics = dict(diagnostics, discarded_overlap_mass=mass)
-    return FisherResult(max(value, 0.0), method, diagnostics)
+    return weights, dropped, diagnostics
 
 
 def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
@@ -177,14 +149,19 @@ def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
 
 
 def _qfi(state: quantum.Density, operator: np.ndarray) -> FisherResult:
-    """``qfi`` of a checked state."""
+    """``qfi`` of a checked state: 4 ||B psi||^2 if certified pure, else
+    2 sum w |<i|A|j>|^2 over the pair weights w of its spectrum."""
     operator = _checked_operator(state.rho.shape, operator)
-    matrix, method, diagnostics, discarded = _qfi_matrix(
-        state,
-        lambda psi: [operator @ psi],
-        lambda vec: [vec.conj().T @ operator @ vec],
-    )
-    return _result(float(matrix[0, 0]), method, diagnostics, discarded, np.ones(1))
+    if state.psi is not None:
+        centered = _centered(state.psi, operator @ state.psi)
+        value = 4.0 * float(np.real(np.vdot(centered, centered)))
+        return FisherResult(max(value, 0.0), "pure-variance", {"purity": state.purity})
+    weights, dropped, diagnostics = _pair_weights(state)
+    vec = state.spectrum.eigenvectors
+    overlap = np.abs(vec.conj().T @ operator @ vec) ** 2
+    value = 2.0 * float(np.sum(weights * overlap))
+    diagnostics["discarded_overlap_mass"] = float(np.sum(overlap[dropped]))
+    return FisherResult(max(value, 0.0), "spectral", diagnostics)
 
 
 def sub_qfi_f2(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
@@ -250,45 +227,66 @@ def qfi_max_quadrature(rho: np.ndarray, x_op: np.ndarray, p_op: np.ndarray):
     state = quantum.density(rho)
     x_op = _checked_operator(state.rho.shape, x_op, "x quadrature")
     p_op = _checked_operator(state.rho.shape, p_op, "p quadrature")
-    return _max_quadrature(state, (x_op + 1j * p_op) / SQRT2)
+    a_op = (x_op + 1j * p_op) / SQRT2
+    # A^+ v = (v^+ A)^+, with no conjugate copy of A.
+    pair = (lambda v: a_op @ v, lambda v: (v.conj().T @ a_op).conj().T)
+    return _max_quadrature(state, pair)
 
 
-def _quadratures(a_part: np.ndarray, a_dagger_part: np.ndarray) -> list:
-    """x = (A + A^+) / sqrt2 and p = (A - A^+) / (i sqrt2), from the images (or
-    rotations) of A and A^+."""
-    x_part = a_part + a_dagger_part
-    x_part /= SQRT2
-    p_part = a_part - a_dagger_part
-    p_part /= 1j * SQRT2
-    return [x_part, p_part]
+# The action (v -> a v, v -> a^+ v) of the ladder operator, A for nu = 1/2.
+LADDER = (quantum.annihilate, quantum.create)
 
 
-def _max_quadrature(state: quantum.Density, a_op: np.ndarray):
+def _pair_sums(a_hat: np.ndarray, weights: np.ndarray):
+    """S0 = sum_ij w_ij |A_ij|^2 and S1 = sum_ij w_ij A_ij A_ji of a rotated A."""
+    weighted = weights * a_hat
+    s1 = complex(np.einsum("ij,ji->", weighted, a_hat))
+    return float(np.real(np.vdot(a_hat, weighted))), s1
+
+
+def _max_quadrature(state: quantum.Density, pair=LADDER):
     """``qfi_max_quadrature`` of a checked state, with its quadrature pair given
-    as one operator A = (x + ip) / sqrt2 of its shape, x and p Hermitian.
+    as the action ``(v -> A v, v -> A^+ v)`` of one operator A = (x + ip) / sqrt2,
+    x and p Hermitian; by default the ladder operator as row shifts.
 
-    A pure state takes A psi and A^+ psi; a spectrum takes one rotation
-    A_hat = V^+ (A V), whose Hermitian parts are the rotated x and p.  For
-    nu = 1/2 quadratures A is the ladder operator ``quantum.annihilation``.
+    The QFI matrix of (x, p) is F = 2 [[S0 + Re S1, Im S1], [Im S1, S0 - Re S1]],
+    so its top eigenvalue is 2 (S0 + |S1|), its eigengap 4 |S1| and its
+    angle arg(S1) / 2.  A pure state takes a = A psi - <A> psi and
+    b = A^+ psi - <A^+> psi: S0 = ||a||^2 + ||b||^2 and S1 = 2 <b|a>.  A
+    spectrum takes one rotation A_hat = V^+ (A V) and the ``_pair_sums`` of
+    A_hat over the pair weights; the same sums D0, D1 over the dropped pairs
+    give the discarded mass D0 + Re(e^{-2i theta} D1) along theta.
     """
-    def images(psi):
-        # A^+ psi = (psi^+ A)^+, with no conjugate copy of A.
-        return _quadratures(a_op @ psi, (psi.conj() @ a_op).conj())
-
-    def rotations(vec):
-        a_hat = vec.conj().T @ (a_op @ vec)
-        return _quadratures(a_hat, a_hat.conj().T)
-
-    matrix, method, diagnostics, discarded = _qfi_matrix(state, images, rotations)
-    (f_xx, f_xp), (_f_px, f_pp) = matrix
-    # F(theta) = (f_xx + f_pp) / 2 + (f_xx - f_pp) / 2 cos 2theta + f_xp sin 2theta
-    eigengap = math.hypot(f_xx - f_pp, 2.0 * f_xp)
-    top = 0.5 * (f_xx + f_pp + eigengap)
+    annihilate, create = pair
+    if state.psi is not None:
+        psi = state.psi
+        image = annihilate(psi)
+        mean = np.vdot(psi, image)
+        a = image - mean * psi
+        b = create(psi) - np.conj(mean) * psi
+        s0 = float(np.real(np.vdot(a, a))) + float(np.real(np.vdot(b, b)))
+        s1 = 2.0 * complex(np.vdot(b, a))
+        method, diagnostics, discarded = "pure-variance", {"purity": state.purity}, None
+    else:
+        # Rotate first: with the weights formed first, the frees of a thermal
+        # job leave glibc's heap top above its trim threshold, and the next
+        # job faults the trimmed pages back in.
+        vec = state.spectrum.eigenvectors
+        a_hat = vec.conj().T @ annihilate(vec)
+        weights, dropped, diagnostics = _pair_weights(state)
+        s0, s1 = _pair_sums(a_hat, weights)
+        method, discarded = "spectral", _pair_sums(a_hat, dropped)
+    eigengap = 4.0 * abs(s1)
+    top = 2.0 * (s0 + abs(s1))
     isotropic = bool(eigengap <= ISOTROPY_FACTOR * top)
-    theta = 0.0 if isotropic else _fold_angle(0.5 * math.atan2(2.0 * f_xp, f_xx - f_pp))
+    theta = 0.0 if isotropic else _fold_angle(0.5 * math.atan2(s1.imag, s1.real))
     diagnostics.update(eigengap=eigengap, isotropic=isotropic)
-    direction = np.array([math.cos(theta), math.sin(theta)])
-    return theta, _result(float(top), method, diagnostics, discarded, direction)
+    if discarded is not None:
+        d0, d1 = discarded
+        # D0 + Re(e^{-2i theta} D1)
+        mass = d0 + math.cos(2.0 * theta) * d1.real + math.sin(2.0 * theta) * d1.imag
+        diagnostics["discarded_overlap_mass"] = mass
+    return theta, FisherResult(max(top, 0.0), method, diagnostics)
 
 
 def _fold_angle(theta: float) -> float:

@@ -6,10 +6,13 @@ additionally satisfy Hermiticity, unit trace and positivity:
 :func:`density` is the package's one check of them, and keeps its
 decomposition for the QFI.  Two kinds of state arrive already decomposed
 and need no check: a Fock state from :func:`build_state` (its pure psi, or
-thermal weights with eigenvectors I; :func:`make_state` and the
-per-kind constructors return its rho) and a Wigner-grid reconstruction.
-The QFI takes the quadrature pair as one operator A = (x + ip) / sqrt2,
-which for nu = 1/2 is :func:`annihilation`.  Pure qubit registers also
+thermal weights with the real identity as eigenvectors; :func:`make_state`
+and the per-kind constructors return its rho) and a Wigner-grid
+reconstruction.  :func:`build_state` checks its parameters finite and a
+number-state index whole, where they enter.  The QFI takes the quadrature
+pair as one operator A = (x + ip) / sqrt2, which for nu = 1/2 is the ladder
+operator: it applies A and A^+ as the O(d) row shifts :func:`annihilate` and
+:func:`create`, never the dense :func:`annihilation`.  Pure qubit registers also
 have a structured path: a 1-D state vector with real 1-D diagonals for
 observables that are diagonal in the computational basis (see
 :func:`ghz_vector`), which costs O(2**n) per observable instead of
@@ -204,14 +207,44 @@ def annihilation(dim: int) -> np.ndarray:
     """The annihilation operator, <m|a|n> = sqrt(n) delta_{m,n-1}, on ``dim`` Fock levels.
 
     At nu = 1/2 and hbar = 1 it is the quadrature pair A = (x + ip) / sqrt2
-    of :func:`fock_operators` (to rounding), the form in which the
-    best-quadrature QFI takes x and p.
+    of :func:`fock_operators` (to rounding).  The best-quadrature QFI takes
+    it as its action, :func:`annihilate` and :func:`create`, and never forms
+    this matrix.
     """
     if dim < 2:
         raise DomainError(f"Fock dimension must be >= 2, got {dim}")
     a = np.zeros((dim, dim), dtype=complex)
     a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1.0, dim))
     return a
+
+
+def _rungs(v: np.ndarray) -> np.ndarray:
+    """sqrt(1), ..., sqrt(d - 1) for the d Fock levels of ``v``, shaped to scale its rows."""
+    return np.sqrt(np.arange(1.0, v.shape[0])).reshape((-1,) + (1,) * (v.ndim - 1))
+
+
+def annihilate(v: np.ndarray) -> np.ndarray:
+    """a v for a vector or the columns of a matrix ``v`` on its Fock levels.
+
+    (a v)_m = sqrt(m + 1) v_{m+1}: a scaled row shift, O(d) per column,
+    equal to ``annihilation(d) @ v`` and of the dtype of ``v``.
+    """
+    v = np.asarray(v)
+    out = np.zeros_like(v)
+    np.multiply(_rungs(v), v[1:], out=out[:-1])
+    return out
+
+
+def create(v: np.ndarray) -> np.ndarray:
+    """a^+ v for a vector or the columns of a matrix ``v``: (a^+ v)_m = sqrt(m) v_{m-1}.
+
+    The row shift of :func:`annihilate` the other way, equal to
+    ``annihilation(d).conj().T @ v``.
+    """
+    v = np.asarray(v)
+    out = np.zeros_like(v)
+    np.multiply(_rungs(v), v[:-1], out=out[1:])
+    return out
 
 
 def fock_operators(dim: int, nu: float = 0.5, hbar: float = 1.0):
@@ -277,7 +310,10 @@ def _pure_density(psi: np.ndarray) -> Density:
 
 
 def _number(n: int, dim: int) -> Density:
-    if not 0 <= n < dim:
+    if not (n >= 0 and float(n).is_integer()):
+        raise DomainError(f"number state index must be a whole number >= 0, got {n}")
+    n = int(n)
+    if not n < dim:
         if n >= DIM_CAP:
             raise TruncationError(
                 f"number state |{n}> does not fit in dim {dim}; {BEYOND_CAP}", 1.0, None
@@ -360,8 +396,10 @@ def _thermal(nbar: float, dim: int) -> Density:
     _check_tail(p**dim, dim, tail_of, f"thermal nbar={nbar}")
     weights = (1.0 - p) * p ** np.arange(dim)
     weights /= weights.sum()
-    rho = np.diag(weights).astype(complex)
-    return Density(rho, purity(rho), None, Spectrum(weights, np.eye(dim, dtype=complex)))
+    rho = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(rho, weights)
+    # Real eigenvectors: the QFI's rotation is then one real GEMM.
+    return Density(rho, purity(rho), None, Spectrum(weights, np.eye(dim)))
 
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
@@ -391,7 +429,7 @@ def squeezed_state(r: float, dim: int) -> np.ndarray:
 # kind -> (its parameter names, builder(dim, **parameters) of its Density)
 STATE_BUILDERS = {
     "vacuum": ((), lambda dim: _number(0, dim)),
-    "number": (("n",), lambda dim, n: _number(int(n), dim)),
+    "number": (("n",), lambda dim, n: _number(n, dim)),
     "coherent": (("alpha",), lambda dim, alpha: _coherent(alpha, dim)),
     "cat": (("alpha",), lambda dim, alpha: _cat(alpha, dim)),
     "thermal": (("nbar",), lambda dim, nbar: _thermal(nbar, dim)),
@@ -401,7 +439,11 @@ STATE_BUILDERS = {
 
 def build_state(kind: str, dim: int, **params) -> Density:
     """The Density of a Fock state, kind in {vacuum, number, coherent, cat, thermal,
-    squeezed}, decomposed by construction."""
+    squeezed}, decomposed by construction.
+
+    Every parameter must be finite (a complex alpha in both parts), else
+    :class:`DomainError`; a number state's ``n`` must be a whole number >= 0.
+    """
     try:
         names, builder = STATE_BUILDERS[kind]
     except KeyError:
@@ -410,6 +452,9 @@ def build_state(kind: str, dim: int, **params) -> Density:
         ) from None
     if set(params) != set(names):
         raise DomainError(f"{kind} state takes parameters {list(names)}, got {sorted(params)}")
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise DomainError(f"{kind} state parameter {name} must be finite, got {value}")
     if dim < 2 or dim > DIM_CAP:
         raise DomainError(f"dim must be in [2, {DIM_CAP}], got {dim}")
     return builder(dim, **params)
@@ -449,6 +494,8 @@ def ghz_vector(n: int, q: float, phase: float = 0.0):
         )
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"weight q must lie in [0, 1], got {q}")
+    if not math.isfinite(phase):
+        raise DomainError(f"phase must be finite, got {phase}")
     dim = 2**n
     psi = np.zeros(dim, dtype=complex)
     psi[0] = math.sqrt(1.0 - q)

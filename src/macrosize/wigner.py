@@ -437,7 +437,7 @@ def qfi_from_grid(grid: WignerGrid, dim: int | None = None):
     convention where the vacuum value is 2.0 (quadrature vacuum variance 1/2).
     """
     report = reconstruct(grid, dim)
-    theta, result = fisher._max_quadrature(report.state, quantum.annihilation(report.dim))
+    theta, result = fisher._max_quadrature(report.state)
     return theta, result, report
 
 
@@ -445,6 +445,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2; <psi|sigma|psi> if rho is pure."""
     state = quantum.density(rho)
     sigma = quantum.validate_density(sigma, "sigma")
+    if sigma.shape != state.rho.shape:
+        raise DomainError(f"dimension mismatch: rho {state.rho.shape} vs sigma {sigma.shape}")
     if state.psi is not None:
         return float(np.real(np.vdot(state.psi, sigma @ state.psi)))
     lam, vec = state.spectrum

@@ -677,6 +677,28 @@ def test_measure_fock_runs_no_eigensolver_and_no_hermiticity_check(
     assert calls == []
 
 
+@pytest.mark.parametrize("params", FOCK_KINDS, ids=[p["kind"] for p in FOCK_KINDS])
+def test_measure_fock_forms_no_dense_ladder(tmp_path, capsys, monkeypatch, params):
+    # The best quadrature applies the ladder as row shifts, never as a matrix.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("measure fock formed the dense ladder operator")
+
+    monkeypatch.setattr(quantum, "annihilation", refuse)
+    cfg = write_json(tmp_path / "fock.json", {"system": "fock", "dim": 80, **params})
+    code, out, err = run_cli(["measure", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert "fhat" in out
+
+
+def test_measure_fock_negative_number_index_is_a_domain_error(tmp_path, capsys):
+    # It was a TruncationError suggesting dim 0; the exit code is the same.
+    config = {"system": "fock", "kind": "number", "dim": 10, "n": -1}
+    cfg = write_json(tmp_path / "fock.json", config)
+    code, out, err = run_cli(["measure", cfg], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: number state index must be a whole number >= 0, got -1\n"
+
+
 @pytest.mark.parametrize(
     "params",
     [{"kind": "thermal", "nbar": 1e9}, {"kind": "coherent", "alpha": 100}],

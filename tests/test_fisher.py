@@ -263,9 +263,11 @@ def reference_qfi_matrix(rho, operators):
     if np.real(np.sum(rho * rho.T)) > quantum.PURITY_PURE_THRESHOLD:
         eye = np.eye(rho.shape[0])
         centred = [op - np.real(np.trace(rho @ op)) * eye for op in operators]
+        products = [rho @ op for op in centred]
         for a in range(count):
             for b in range(count):
-                matrix[a, b] = 4.0 * np.real(np.trace(rho @ centred[a] @ centred[b]))
+                # tr(rho B_a B_b) = sum_ij (rho B_a)_ij (B_b)_ji
+                matrix[a, b] = 4.0 * np.real(np.sum(products[a] * centred[b].T))
         return matrix
     lam, vec = np.linalg.eigh(rho)
     rotated = [vec.conj().T @ op @ vec for op in operators]
@@ -399,15 +401,81 @@ def test_built_state_matches_checked_state(kind, dim, params, near_cap):
     # A built state skips the check, the pure certificate and the eigensolver,
     # and takes the ladder operator as its quadrature pair.
     dim = 600 if near_cap else dim
-    theta, built = fisher._max_quadrature(
-        quantum.build_state(kind, dim, **params), quantum.annihilation(dim)
-    )
+    theta, built = fisher._max_quadrature(quantum.build_state(kind, dim, **params))
     _a, x, p = quantum.fock_operators(dim, nu=0.5)
     checked_theta, checked = fisher.qfi_max_quadrature(quantum.make_state(kind, dim, **params), x, p)
     assert built.method == checked.method
     assert built.diagnostics["isotropic"] == checked.diagnostics["isotropic"]
     assert built.value == pytest.approx(checked.value, rel=1e-12, abs=0.0)
     assert theta == pytest.approx(checked_theta, abs=1e-9)
+
+
+def reference_best_quadrature(rho):
+    """The best quadrature of the dense reference QFI matrix of the nu = 1/2
+    pair (x, p): its top eigenvalue, eigengap, isotropy flag and angle in
+    [0, pi), and for a mixed rho the count of dropped spectral pairs and their
+    overlap mass sum |<i|cos(theta) x + sin(theta) p|j>|^2 along that angle."""
+    _a, x, p = quantum.fock_operators(rho.shape[0], nu=0.5)
+    values, vectors = np.linalg.eigh(reference_qfi_matrix(rho, [x, p]))
+    top, gap = values[-1], values[-1] - values[0]
+    isotropic = bool(gap <= fisher.ISOTROPY_FACTOR * top)
+    theta = 0.0 if isotropic else math.atan2(vectors[1, -1], vectors[0, -1]) % math.pi
+    expected = {"value": top, "eigengap": gap, "isotropic": isotropic, "theta": theta}
+    if np.real(np.sum(rho * rho.T)) <= quantum.PURITY_PURE_THRESHOLD:
+        lam, vec = np.linalg.eigh(rho)
+        dropped = lam[:, None] + lam[None, :] <= fisher.PAIR_THRESHOLD_FACTOR * lam.max()
+        along = vec.conj().T @ (math.cos(theta) * x + math.sin(theta) * p) @ vec
+        expected["discarded_pairs"] = int(np.count_nonzero(dropped))
+        expected["discarded_overlap_mass"] = float(np.sum(np.abs(along[dropped]) ** 2))
+    return expected
+
+
+def assert_matches_reference_best_quadrature(theta, result, expected):
+    """Value, eigengap (both relative to the value) and discarded mass to
+    1e-12, the angle to 1e-9 rad modulo pi, and equal pair counts and flags."""
+    diagnostics = result.diagnostics
+    top = expected["value"]
+    assert result.method == ("spectral" if "discarded_pairs" in expected else "pure-variance")
+    assert result.value == pytest.approx(top, rel=1e-12, abs=0.0)
+    assert diagnostics["eigengap"] == pytest.approx(expected["eigengap"], rel=0.0, abs=1e-12 * top)
+    assert diagnostics["isotropic"] == expected["isotropic"]
+    miss = abs(theta - expected["theta"]) % math.pi
+    assert min(miss, math.pi - miss) <= 1e-9
+    assert 0.0 <= theta < math.pi
+    for key in ("discarded_pairs", "discarded_overlap_mass"):
+        assert (key in diagnostics) == (key in expected)
+    if "discarded_pairs" in expected:
+        assert diagnostics["discarded_pairs"] == expected["discarded_pairs"]
+        assert diagnostics["discarded_overlap_mass"] == pytest.approx(
+            expected["discarded_overlap_mass"], rel=1e-12, abs=0.0
+        )
+
+
+@pytest.mark.parametrize("near_cap", [False, True], ids=["benchmark-dim", "dim-600"])
+@pytest.mark.parametrize(
+    "kind,dim,params", BENCHMARK_STATES, ids=[kind for kind, _d, _p in BENCHMARK_STATES]
+)
+def test_ladder_best_quadrature_matches_dense_reference(kind, dim, params, near_cap):
+    # The ladder's row shifts and the two weighted sums against dense x, p and
+    # a separate eigendecomposition of rho.
+    dim = 600 if near_cap else dim
+    theta, result = fisher._max_quadrature(quantum.build_state(kind, dim, **params))
+    expected = reference_best_quadrature(quantum.make_state(kind, dim, **params))
+    assert_matches_reference_best_quadrature(theta, result, expected)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 30, 120, 200])
+def test_ladder_best_quadrature_matches_dense_reference_on_random_states(dim):
+    rng = np.random.default_rng(70 + dim)
+    states = [random_pure(rng, dim), random_density(rng, dim)]
+    if dim > 2:
+        states.append(random_density(rng, dim, max(2, dim // 3)))
+    for rho in states:
+        theta, result = fisher._max_quadrature(quantum.density(rho))
+        assert_matches_reference_best_quadrature(theta, result, reference_best_quadrature(rho))
+    if dim > 2:
+        # The rank-deficient state drops its null-space pairs.
+        assert result.diagnostics["discarded_pairs"] > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 12, 40])

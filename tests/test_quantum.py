@@ -157,6 +157,22 @@ def test_annihilation_is_the_quadrature_pair(dim):
     assert np.max(np.abs(pair - a)) <= 4.0 * np.finfo(float).eps * math.sqrt(dim)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 120, 600])
+@pytest.mark.parametrize("shape", ["vector", "columns"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_ladder_row_shifts_equal_the_dense_products(dim, shape, dtype):
+    rng = np.random.default_rng(dim)
+    size = (dim,) if shape == "vector" else (dim, 5)
+    v = rng.standard_normal(size)
+    if dtype is complex:
+        v = v + 1j * rng.standard_normal(size)
+    a = quantum.annihilation(dim)
+    for shifted, dense in ((quantum.annihilate(v), a @ v), (quantum.create(v), a.conj().T @ v)):
+        assert shifted.dtype == v.dtype
+        assert shifted.shape == v.shape
+        assert np.array_equal(shifted, dense)
+
+
 def test_max_asymmetry_matches_full_expression():
     rng = np.random.default_rng(11)
     for trial in range(60):
@@ -492,3 +508,47 @@ def test_tensor_dim_cap():
     big = np.eye(100, dtype=complex)
     with pytest.raises(DomainError, match="cap"):
         quantum.tensor(big, big)
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("coherent", {"alpha": math.nan}),
+        ("coherent", {"alpha": math.inf}),
+        ("coherent", {"alpha": complex(1.0, math.inf)}),
+        ("cat", {"alpha": math.nan}),
+        ("cat", {"alpha": -math.inf}),
+        ("cat", {"alpha": complex(math.nan, 0.5)}),
+        ("squeezed", {"r": math.nan}),
+        ("squeezed", {"r": math.inf}),
+        ("thermal", {"nbar": math.inf}),
+        ("number", {"n": math.nan}),
+    ],
+)
+def test_build_state_rejects_non_finite_parameters(kind, params):
+    # Before, NaN and infinite amplitudes built an all-NaN state silently.
+    name = next(iter(params))
+    with pytest.raises(DomainError, match=f"{kind} state parameter {name} must be finite"):
+        quantum.build_state(kind, 40, **params)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, -0.5])
+def test_number_state_index_must_be_a_whole_number(n):
+    # n = -1 was a TruncationError suggesting dim 0; n = 2.5 built |2>.
+    builders = (lambda: quantum.build_state("number", 10, n=n), lambda: quantum.number_state(n, 10))
+    for build in builders:
+        with pytest.raises(DomainError, match="whole number >= 0") as excinfo:
+            build()
+        assert not isinstance(excinfo.value, TruncationError)
+
+
+def test_number_state_whole_float_index_builds_the_integer_state():
+    assert np.array_equal(
+        quantum.make_state("number", 10, n=3.0), quantum.make_state("number", 10, n=3)
+    )
+
+
+@pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+def test_ghz_vector_rejects_non_finite_phase(phase):
+    with pytest.raises(DomainError, match="phase must be finite"):
+        quantum.ghz_vector(3, 0.5, phase=phase)

@@ -533,6 +533,31 @@ def test_qfi_from_grid_decomposes_once(monkeypatch, make_grid, dim):
     assert calls == ["eigh"]
 
 
+def _refuse_dense_ladder(*_args, **_kwargs):
+    raise AssertionError("the best-quadrature QFI formed the dense ladder operator")
+
+
+@pytest.mark.parametrize(
+    "make_grid,dim",
+    [(lambda: _even_cat_grid(FIXED, 1.7), 32), (lambda: _thermal_grid(FIXED, 1.0), 32)],
+    ids=["pure", "mixed"],
+)
+def test_qfi_from_grid_forms_no_dense_ladder(monkeypatch, make_grid, dim):
+    # The reconstruction's spectrum meets the ladder only through its row shifts.
+    grid = make_grid()
+    monkeypatch.setattr(quantum, "annihilation", _refuse_dense_ladder)
+    _theta, result, _report = qfi_from_grid(grid, dim)
+    assert result.method == "spectral"
+
+
+def test_fidelity_rejects_mismatched_shapes():
+    with pytest.raises(DomainError, match=r"dimension mismatch: rho \(3, 3\) vs sigma \(4, 4\)"):
+        wigner.fidelity(quantum.vacuum_state(3), quantum.vacuum_state(4))
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        mixed = quantum.mix(0.5, quantum.vacuum_state(5), quantum.number_state(1, 5))
+        wigner.fidelity(mixed, quantum.vacuum_state(4))
+
+
 def test_auto_dim_raise():
     # thermal nbar = 8 leaves ~9e-3 outside 40 levels, forcing a raise
     rho = quantum.thermal_state(8.0, 160)
