@@ -18,8 +18,16 @@ x axis, one GEMM psi^T rho psi, and a Fourier sum along its anti-diagonals.
 The q-step is dx / s, with s the smallest integer that keeps pi / step at or
 above p_max + sqrt(2d + 1) + HERMITE_MARGIN, so the y-sum does not alias.
 The overlap reconstruction is the exact adjoint of that chain.
-``reconstruct`` builds that chain once per dim and re-synthesizes through
-the chain of its last overlap pass, in the same q x q workspace.
+
+A chain depends only on the axes and the dim, so it is a plan for its grid,
+as an FFT plan is: ``reconstruct`` and ``synth_values`` take it from a store
+keyed on the exact axis arrays and the dim, and build it only on a miss.
+The store is per thread (threads reconstructing different grids on the same
+axes share no buffer), its arrays are read-only, and every chain of a
+thread writes into that thread's one grow-only q x q complex workspace.
+Memory stays bounded: a thread keeps the chains of one set of axes, at
+most the auto-dim ladder 40, 61, 92, 139, 200 plus one other dim, and drops
+them all when other axes arrive.
 ``fock_kernel`` evaluates one kernel |m><n| in closed form and is kept as
 the reference both are tested against; it is the one function here that
 needs scipy, and imports it when called.
@@ -28,6 +36,7 @@ needs scipy, and imports it when called.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +60,12 @@ SUPPORT_TAIL = 1e-6
 # fast as a Gaussian, so the dropped terms change W by less than 1e-14 (4e-15
 # for the vacuum at d = 1, rounding level from d = 2 on).
 HERMITE_MARGIN = 6.0
+# The Hermite recurrence starts from psi_0 = pi^(-1/4) e^{-q^2/2}, which must
+# stay a normal float out to the turning point sqrt(2d + 1) of the top level,
+# so up to d of about 707.  On every axes tried, the norms of the chain's
+# psi_n hold to 8e-15 up to dim 676, pass 1e-13 at dim 684 and are off by 0.16
+# at dim 800, so chains stop well short of that.
+HERMITE_DIM_CAP = 600
 
 
 class WignerFormatError(MacrosizeError):
@@ -244,14 +259,12 @@ def fock_kernel(m: int, n: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 class _Chain(NamedTuple):
-    """The position-basis chain of one dim on one pair of axes.
+    """The position-basis chain of one dim on one pair of axes, read-only.
 
     ``psi[n, k]`` = psi_n(q_k) for n < dim on the q-grid of step ``h``;
     ``valid[i, j]`` marks the j >= 0 whose x_i -+ j h both lie on the
     q-grid, ``pairs`` holds their q-indices (of x_i - j h, of x_i + j h) in
-    the order of ``valid``, and ``phase[j, l]`` = e^{2i p_l j h}.  ``work``
-    is a q x q complex workspace: the overlap pass fills it as M, and a
-    synthesis through the same chain overwrites it with psi^T rho psi.
+    the order of ``valid``, and ``phase[j, l]`` = e^{2i p_l j h}.
     """
 
     psi: np.ndarray
@@ -259,10 +272,9 @@ class _Chain(NamedTuple):
     valid: np.ndarray
     pairs: tuple[np.ndarray, np.ndarray]
     phase: np.ndarray
-    work: np.ndarray
 
 
-def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
+def _build_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     """Hermite functions, anti-diagonal pairs and phases of the position-basis chain.
 
     The q-grid q_k = x_0 + (k + k_lo) h covers [-R, R], R the cut radius,
@@ -279,8 +291,7 @@ def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     k_lo = math.ceil((-radius - xs[0]) / h)
     q = xs[0] + h * np.arange(k_lo, math.floor((radius - xs[0]) / h) + 1)
 
-    # psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1}.  On
-    # |q| <= R, e^{-q^2/2} stays a normal float for every dim up to 500.
+    # psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1}
     psi = np.empty((dim, q.size))
     psi[0] = math.pi**-0.25 * np.exp(-0.5 * q * q)
     for n in range(1, dim):
@@ -294,13 +305,76 @@ def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     valid = j <= reach[:, None]
     pairs = ((centre[:, None] - j)[valid], (centre[:, None] + j)[valid])
     phase = np.exp(2j * h * np.outer(j, ps))
-    work = np.empty((q.size, q.size), dtype=complex)
-    return _Chain(psi, h, valid, pairs, phase, work)
+    for array in (psi, valid, *pairs, phase):
+        array.flags.writeable = False
+    return _Chain(psi, h, valid, pairs, phase)
+
+
+def _next_dim(dim: int) -> int:
+    """The auto-dim step from ``dim``."""
+    return min(int(dim * 1.5) + 1, DIM_CAP)
+
+
+def _auto_dims() -> frozenset[int]:
+    """Every dim of the auto-dim ladder: 40, 61, 92, 139, 200."""
+    dims = [DEFAULT_DIM]
+    while dims[-1] < DIM_CAP:
+        dims.append(_next_dim(dims[-1]))
+    return frozenset(dims)
+
+
+_AUTO_DIMS = _auto_dims()
+
+
+class _Store(threading.local):
+    """One thread's chains for one set of axes, and its q x q workspace."""
+
+    def __init__(self):
+        self.axes: tuple[bytes, bytes] | None = None
+        self.chains: dict[int, _Chain] = {}
+        self.work = np.empty(0, dtype=complex)
+
+
+_STORE = _Store()
+
+
+def _require_chain_dim(dim: int) -> None:
+    if dim > HERMITE_DIM_CAP:
+        raise DomainError(
+            f"dim {dim} exceeds HERMITE_DIM_CAP = {HERMITE_DIM_CAP}, the largest dim "
+            f"whose Hermite recurrence stays accurate"
+        )
+
+
+def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
+    """The chain of ``dim`` on these axes, from this thread's store."""
+    _require_chain_dim(dim)
+    store = _STORE
+    axes = (xs.tobytes(), ps.tobytes())
+    if store.axes != axes:
+        store.axes, store.chains = axes, {}
+    chain = store.chains.get(dim)
+    if chain is None:
+        if dim not in _AUTO_DIMS:
+            for other in [d for d in store.chains if d not in _AUTO_DIMS]:
+                del store.chains[other]
+        chain = store.chains[dim] = _build_chain(dim, xs, ps)
+    return chain
+
+
+def _workspace(chain: _Chain) -> np.ndarray:
+    """This thread's q x q complex workspace for ``chain``, grown as needed;
+    its contents are left over from the last chain that used it."""
+    n = chain.psi.shape[1]
+    if _STORE.work.size < n * n:
+        _STORE.work = np.empty(n * n, dtype=complex)
+    return _STORE.work[: n * n].reshape(n, n)
 
 
 def _synthesize(rho: np.ndarray, chain: _Chain) -> np.ndarray:
-    """W of ``rho`` on the axes of ``chain``; overwrites ``chain.work``."""
-    psi, h, valid, pairs, phase, kernel = chain
+    """W of ``rho`` on the axes of ``chain``; overwrites the thread's workspace."""
+    psi, h, valid, pairs, phase = chain
+    kernel = _workspace(chain)
     # W(x, p) = (h/pi) sum_j <x - jh|rho|x + jh> e^{2ipjh}; the terms at -j
     # are the conjugates of those at j, so j >= 0 counts twice (j = 0 once).
     # kernel[b, a] = <q_b|rho|q_a> = (psi^T rho psi)[b, a], one real GEMM on
@@ -334,6 +408,7 @@ def synth_grid(
 ) -> WignerGrid:
     """Synthesize a Wigner grid; axes must clear the state support by five
     vacuum widths so the normalization lands within 1e-3."""
+    _require_chain_dim(np.shape(rho)[0])
     rho = quantum.validate_density(rho)
     margin = _support_radius(rho) + 5.0 * math.sqrt(0.5)
     for lo, hi, _count in (x_axis, p_axis):
@@ -370,9 +445,10 @@ def _overlap_reconstruct(grid: WignerGrid, chain: _Chain) -> np.ndarray:
     a q x q matrix M, and rho = 2 dx dp h psi M psi^T.  M holds only j >= 0,
     with j = 0 halved; the j < 0 half is its conjugate transpose, so
     rho = X + X^H with X from the j >= 0 half, Hermitian by construction.
-    M is built in ``chain.work``.
+    M is built in the thread's workspace.
     """
-    psi, h, valid, pairs, phase, m = chain
+    psi, h, valid, pairs, phase = chain
+    m = _workspace(chain)
     g = grid.values.T @ phase.conj().T
     g[:, :1] *= 0.5
     m.fill(0.0)
@@ -384,16 +460,22 @@ def _overlap_reconstruct(grid: WignerGrid, chain: _Chain) -> np.ndarray:
 def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionReport:
     """Reconstruct a density matrix from a grid by kernel overlaps.
 
-    When ``dim`` is omitted, starts at 40 and raises it until the diagonal
+    ``dim`` must be a whole number in [2, 200] (``DomainError`` otherwise).
+    When it is omitted, starts at 40 and raises it until the diagonal
     tail drops below 1e-3 (or the cap of 200).  Positivity is repaired by
     clipping negative eigenvalues (clipped mass reported) and the residual
     is the relative L2 misfit of the re-synthesized grid; a residual above
     ``RESIDUAL_LIMIT`` raises ``ReconstructionError``.
     """
     auto = dim is None
-    dim = DEFAULT_DIM if auto else int(dim)
-    if dim < 2 or dim > DIM_CAP:
-        raise DomainError(f"reconstruction dim must be in [2, {DIM_CAP}], got {dim}")
+    if auto:
+        dim = DEFAULT_DIM
+    # The range test comes first: NaN fails it, and float() of a huge int overflows.
+    if not (2 <= dim <= DIM_CAP and float(dim).is_integer()):
+        raise DomainError(
+            f"reconstruction dim must be a whole number in [2, {DIM_CAP}], got {dim}"
+        )
+    dim = int(dim)
     while True:
         chain = _position_chain(dim, grid.x_axis, grid.p_axis)
         raw = _overlap_reconstruct(grid, chain)
@@ -401,7 +483,7 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
         # the raw overlap trace measures how much of the state fits in dim.
         tail = max(0.0, 1.0 - float(np.real(np.trace(raw))))
         if auto and tail > DIAGONAL_TAIL_LIMIT and dim < DIM_CAP:
-            dim = min(int(dim * 1.5) + 1, DIM_CAP)
+            dim = _next_dim(dim)
             continue
         break
 

@@ -1,5 +1,7 @@
 import math
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -255,32 +257,31 @@ def test_reconstruct_rejects_nan_residual(monkeypatch):
         reconstruct(grid, 12)
 
 
+def _fresh_synth(rho, xs, ps):
+    """``synth_values`` through a freshly built chain and fresh q x q temporaries."""
+    psi, h, valid, pairs, phase = wigner._build_chain(rho.shape[0], xs, ps)
+    right = np.ascontiguousarray(rho @ psi, dtype=complex)
+    kernel = (psi.T @ right.view(float)).view(complex)
+    g = np.zeros(valid.shape, dtype=complex)
+    g[valid] = kernel[pairs]
+    g[:, 1:] *= 2.0
+    return (h / math.pi) * np.real(g @ phase).T
+
+
 def _two_chain_reconstruct(grid, dim):
     """``reconstruct`` with one chain for the overlaps and another for the
-    residual, each with fresh q x q temporaries: the reference the one-chain
-    path must match byte for byte.  Returns ``(rho, dim, residual, resynth)``."""
+    residual, each freshly built and with fresh q x q temporaries: the
+    reference the stored chains and the shared workspace must match byte for
+    byte.  Returns ``(rho, dim, residual, resynth)``."""
 
     def overlap(dim):
-        psi, h, valid, pairs, phase, _work = wigner._position_chain(
-            dim, grid.x_axis, grid.p_axis
-        )
+        psi, h, valid, pairs, phase = wigner._build_chain(dim, grid.x_axis, grid.p_axis)
         g = grid.values.T @ phase.conj().T
         g[:, :1] *= 0.5
         m = np.zeros((psi.shape[1], psi.shape[1]), dtype=complex)
         m[pairs] = g[valid]
         half = (psi @ m.view(float)).view(complex) @ psi.T
         return 2.0 * grid.dx * grid.dp * h * (half + half.conj().T)
-
-    def synth(rho):
-        psi, h, valid, pairs, phase, _work = wigner._position_chain(
-            rho.shape[0], grid.x_axis, grid.p_axis
-        )
-        right = np.ascontiguousarray(rho @ psi, dtype=complex)
-        kernel = (psi.T @ right.view(float)).view(complex)
-        g = np.zeros(valid.shape, dtype=complex)
-        g[valid] = kernel[pairs]
-        g[:, 1:] *= 2.0
-        return (h / math.pi) * np.real(g @ phase).T
 
     auto = dim is None
     dim = wigner.DEFAULT_DIM if auto else dim
@@ -296,7 +297,7 @@ def _two_chain_reconstruct(grid, dim):
     clipped /= float(np.sum(clipped))
     rho = (vectors * clipped) @ vectors.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    resynth = synth(rho)
+    resynth = _fresh_synth(rho, grid.x_axis, grid.p_axis)
     residual = float(np.linalg.norm(resynth - grid.values)) / float(
         np.linalg.norm(grid.values)
     )
@@ -347,6 +348,185 @@ def test_reconstruct_matches_two_chain_path(monkeypatch, case, dim, final_dim):
     assert report.residual == residual
     assert len(synthesized) == 1
     assert synthesized[0].tobytes() == resynth.tobytes()
+
+
+NINE = (-9.0, 9.0, 91)
+SEVEN = (-7.0, 7.0, 71)
+TWELVE = (-12.0, 12.0, 121)
+
+
+def _store_steps(order):
+    """The calls of one store order: ``("reconstruct", grid, dim, final_dim)``
+    or ``("synth", rho, x_axis, p_axis)``."""
+    squeezed = synth_grid(quantum.squeezed_state(0.5, 60), NINE, NINE)
+    cat = synth_grid(quantum.cat_state(1.5, 60), NINE, NINE)
+    if order == "one axes, alternating grids":
+        return [("reconstruct", g, 32, 32) for g in (squeezed, cat, squeezed, cat)]
+    if order == "alternating axes":
+        wide = synth_grid(quantum.squeezed_state(0.5, 60), WIDE, WIDE)
+        return [("reconstruct", g, 32, 32) for g in (cat, wide, cat, wide)]
+    if order == "auto-dim ladder, then dim 32":
+        # |alpha|^2 = 27.6 leaves 2e-2 of its weight beyond dim 40: one 40 -> 61 step.
+        coherent = _coherent_grid(TWELVE, complex(3.0, 6.8) / math.sqrt(2.0))
+        wide_cat = synth_grid(quantum.cat_state(1.5, 60), TWELVE, TWELVE)
+        return [
+            ("reconstruct", coherent, None, 61),
+            ("reconstruct", wide_cat, 32, 32),
+            ("reconstruct", coherent, None, 61),
+        ]
+    rng = np.random.default_rng(5)
+    return [
+        ("synth", random_density(rng, 12), NINE, NINE),
+        ("reconstruct", squeezed, 32, 32),
+        ("synth", random_density(rng, 32), NINE, NINE),
+        ("reconstruct", cat, None, 40),
+        ("synth", random_density(rng, 40), SEVEN, NINE),
+        ("reconstruct", squeezed, 32, 32),
+    ]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        "one axes, alternating grids",
+        "alternating axes",
+        "auto-dim ladder, then dim 32",
+        "synth_values between reconstructions",
+    ],
+)
+def test_stored_chains_match_fresh_chains(monkeypatch, order):
+    steps = _store_steps(order)
+    expected = []
+    for kind, *args in steps:
+        if kind == "reconstruct":
+            expected.append(_two_chain_reconstruct(args[0], args[1]))
+        else:
+            rho, x_axis, p_axis = args
+            expected.append(_fresh_synth(rho, np.linspace(*x_axis), np.linspace(*p_axis)))
+    synthesized = []
+
+    def recording(rho, chain):
+        values = synthesize(rho, chain)
+        synthesized.append(values)
+        return values
+
+    synthesize = wigner._synthesize
+    monkeypatch.setattr(wigner, "_synthesize", recording)
+    for (kind, *args), ref in zip(steps, expected):
+        synthesized.clear()
+        if kind == "synth":
+            rho, x_axis, p_axis = args
+            w = wigner.synth_values(rho, np.linspace(*x_axis), np.linspace(*p_axis))
+            assert w.tobytes() == ref.tobytes()
+            continue
+        grid, dim, final_dim = args
+        report = reconstruct(grid, dim)
+        rho, ref_dim, residual, resynth = ref
+        assert report.dim == ref_dim == final_dim
+        assert report.rho.tobytes() == rho.tobytes()
+        assert report.residual == residual
+        assert [w.tobytes() for w in synthesized] == [resynth.tobytes()]
+
+
+def test_threads_give_serial_bytes():
+    # Two grids on one set of axes, reconstructed from more threads than
+    # cores with a short switch interval: a workspace shared between threads
+    # would mix their overlaps.
+    grids = [
+        synth_grid(quantum.squeezed_state(0.5, 60), NINE, NINE),
+        synth_grid(quantum.cat_state(1.5, 60), NINE, NINE),
+    ]
+    serial = [_two_chain_reconstruct(grid, 32) for grid in grids]
+    results = {}
+
+    def work(k):
+        results[k] = [
+            ((i + k) % 2, reconstruct(grids[(i + k) % 2], 32)) for i in range(6)
+        ]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for runs in results.values():
+        for which, report in runs:
+            rho, _dim, residual, _resynth = serial[which]
+            assert report.rho.tobytes() == rho.tobytes()
+            assert report.residual == residual
+
+
+def test_stored_chain_is_read_only():
+    xs = np.linspace(*NINE)
+    chain = wigner._position_chain(12, xs, xs)
+    for array in (chain.psi, chain.valid, *chain.pairs, chain.phase):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        chain.psi[0, 0] = 1.0
+
+
+def test_store_keeps_one_axes_set():
+    store = wigner._STORE
+    xs_a, xs_b = np.linspace(*NINE), np.linspace(*SEVEN)
+    wigner._position_chain(12, xs_b, xs_b)
+    first = wigner._position_chain(40, xs_a, xs_a)
+    assert wigner._position_chain(40, xs_a, np.linspace(*NINE)) is first
+    # The ladder dims stay; a dim off the ladder replaces the last such dim.
+    for dim in (61, 32, 33):
+        wigner._position_chain(dim, xs_a, xs_a)
+    assert sorted(store.chains) == [33, 40, 61]
+    # Every chain of the thread writes into one grow-only workspace.
+    big = wigner._workspace(store.chains[61])
+    assert wigner._workspace(first).base is big.base
+    # Other axes drop every chain of the old ones.
+    wigner._position_chain(12, xs_b, xs_b)
+    assert sorted(store.chains) == [12]
+    assert wigner._position_chain(40, xs_a, xs_a) is not first
+
+
+@pytest.mark.parametrize(
+    "dim", [2.5, np.float64(3.9), float("nan"), np.float64("nan"), math.inf, 1, 201, 10**400]
+)
+def test_reconstruct_rejects_dims_that_are_not_whole_or_in_range(dim):
+    grid = synth_grid(quantum.vacuum_state(12), AXES, AXES)
+    with pytest.raises(DomainError, match="whole number in"):
+        reconstruct(grid, dim)
+
+
+def test_reconstruct_accepts_whole_float_dim():
+    grid = synth_grid(quantum.vacuum_state(12), AXES, AXES)
+    report = reconstruct(grid, np.float64(12.0))
+    assert report.dim == 12 and type(report.dim) is int
+    assert report.rho.tobytes() == reconstruct(grid, 12).rho.tobytes()
+
+
+def test_hermite_norms_hold_at_cap():
+    xs = np.linspace(-3.0, 3.0, 61)
+    chain = wigner._position_chain(wigner.HERMITE_DIM_CAP, xs, xs)
+    norms = np.sum(chain.psi**2, axis=1) * chain.h
+    assert np.max(np.abs(norms - 1.0)) < 1e-13
+
+
+def test_chain_dim_above_cap_raises_before_any_work():
+    over = wigner.HERMITE_DIM_CAP + 1
+    xs, other = np.linspace(-3.0, 3.0, 61), np.linspace(*NINE)
+    wigner._position_chain(2, other, other)
+    with pytest.raises(DomainError, match="HERMITE_DIM_CAP"):
+        wigner._position_chain(over, xs, xs)
+    assert wigner._STORE.axes == (other.tobytes(), other.tobytes())
+    # Not a density matrix: the cap check comes before the density check.
+    rho = np.zeros((over, over))
+    with pytest.raises(DomainError, match="HERMITE_DIM_CAP"):
+        wigner.synth_values(rho, xs, xs)
+    with pytest.raises(DomainError, match="HERMITE_DIM_CAP"):
+        synth_grid(rho, (-3.0, 3.0, 61), (-3.0, 3.0, 61))
 
 
 def test_qfi_from_grid_vacuum():
