@@ -337,15 +337,11 @@ def _add_best_quadrature(theta: float, result, out: Output):
 # wigner
 # ---------------------------------------------------------------------------
 
-def cmd_wigner(args, out: Output) -> int:
-    # Notes render in the order they are added; a bad mode config fails
-    # before any reconstruction.
-    out.note("fhat in the vacuum => 2.0 quadrature convention")
-    cfg = load_config(args.mode_config, MODE_SCHEMA) if args.mode_config else None
-    mode = build_mode(cfg, out) if cfg is not None else None
-    grid = wigner.load_grid(args.grid)
+def _wigner_frame(path: str, dim, cfg, mode, out: Output):
+    """The rows of one grid file: its reconstruction, best quadrature and sizes."""
+    grid = wigner.load_grid(path)
     grid.check()
-    theta, result, report = wigner.qfi_from_grid(grid, args.dim)
+    theta, result, report = wigner.qfi_from_grid(grid, dim)
     out.add("reconstruction_dim", report.dim)
     out.add("residual", report.residual)
     out.add("clipped_mass", report.clipped_mass)
@@ -355,6 +351,32 @@ def cmd_wigner(args, out: Output) -> int:
             mode, result.value, cfg.get("delta_u", oscillator.DELTA_U_DEFAULT)
         )
         _add_sizes(sizes, out)
+
+
+def cmd_wigner(args, out: Output) -> int:
+    # Notes render in the order they are added; a bad mode config fails
+    # before any reconstruction.
+    out.note("fhat in the vacuum => 2.0 quadrature convention")
+    cfg = load_config(args.mode_config, MODE_SCHEMA) if args.mode_config else None
+    mode = build_mode(cfg, out) if cfg is not None else None
+    if len(args.grid) == 1:
+        _wigner_frame(args.grid[0], args.dim, cfg, mode, out)
+        return EXIT_OK
+    # Several frames: one table row each, in the order given.  Frames on the
+    # same axes share their position-basis chains (see ``wigner``).
+    rows = []
+    for path in args.grid:
+        frame = Output()
+        try:
+            _wigner_frame(path, args.dim, cfg, mode, frame)
+        except MacrosizeError as exc:
+            exc.args = (f"{path}: {exc}", *exc.args[1:])
+            raise
+        rows.append([path.replace(",", ";"), *(_fmt(v) for _k, v, _u in frame.rows)])
+        for note in frame.notes:
+            out.note(f"{path}: {note}")
+    out.add_table(["grid", *(key for key, _v, _u in frame.rows)], rows)
+    out.note("theta_star in rad")
     return EXIT_OK
 
 
@@ -545,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("wigner", help="QFI and sizes from a Wigner grid file")
-    p.add_argument("grid")
+    p = sub.add_parser("wigner", help="QFI and sizes from Wigner grid files")
+    p.add_argument("grid", nargs="+", help="one grid file, or several frames: one table row each")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--mode-config", default=None, help="mode parameters for sizes")
     p.set_defaults(func=cmd_wigner)

@@ -21,13 +21,17 @@ The overlap reconstruction is the exact adjoint of that chain.
 
 A chain depends only on the axes and the dim, so it is a plan for its grid,
 as an FFT plan is: ``reconstruct`` and ``synth_values`` take it from a store
-keyed on the exact axis arrays and the dim, and build it only on a miss.
-The store is per thread (threads reconstructing different grids on the same
-axes share no buffer), its arrays are read-only, and every chain of a
-thread writes into that thread's one grow-only q x q complex workspace.
-Memory stays bounded: a thread keeps the chains of one set of axes, at
-most the auto-dim ladder 40, 61, 92, 139, 200 plus one other dim, and drops
-them all when other axes arrive.
+keyed on the exact axis arrays and the dim, and build it only on a miss, so
+the frames of one grid (``macrosize wigner`` with several grid files, or a
+loop over ``reconstruct``) build it once.  The store is per thread (threads
+reconstructing different grids on the same axes share no buffer), its
+arrays are read-only, and every chain it keeps writes into that thread's
+one q x q complex workspace, sized for the largest of them.  Memory stays
+bounded by one set of axes: a thread keeps at most the auto-dim ladder 40,
+61, 92, 139, 200 plus one other dim, drops the chains and the workspace
+when other axes arrive, and keeps no chain above ``DIM_CAP`` (only
+synthesis asks for one, and ``reconstruct`` could never reuse it).  A
+thread's store goes when the thread ends.
 ``fock_kernel`` evaluates one kernel |m><n| in closed form and is kept as
 the reference both are tested against; it is the one function here that
 needs scipy, and imports it when called.
@@ -327,7 +331,7 @@ _AUTO_DIMS = _auto_dims()
 
 
 class _Store(threading.local):
-    """One thread's chains for one set of axes, and its q x q workspace."""
+    """One thread's chains for one set of axes, and their q x q workspace."""
 
     def __init__(self):
         self.axes: tuple[bytes, bytes] | None = None
@@ -347,12 +351,16 @@ def _require_chain_dim(dim: int) -> None:
 
 
 def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
-    """The chain of ``dim`` on these axes, from this thread's store."""
+    """The chain of ``dim`` on these axes, from this thread's store; a chain
+    above ``DIM_CAP`` is built and not kept."""
     _require_chain_dim(dim)
+    if dim > DIM_CAP:
+        return _build_chain(dim, xs, ps)
     store = _STORE
     axes = (xs.tobytes(), ps.tobytes())
     if store.axes != axes:
         store.axes, store.chains = axes, {}
+        store.work = np.empty(0, dtype=complex)
     chain = store.chains.get(dim)
     if chain is None:
         if dim not in _AUTO_DIMS:
@@ -363,12 +371,17 @@ def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
 
 
 def _workspace(chain: _Chain) -> np.ndarray:
-    """This thread's q x q complex workspace for ``chain``, grown as needed;
-    its contents are left over from the last chain that used it."""
+    """A q x q complex workspace for ``chain``, its contents left over from
+    the last chain that used it: a view of this thread's one buffer, which
+    grows for the chains the store keeps; a chain above ``DIM_CAP`` that
+    does not fit it gets a buffer of its own."""
     n = chain.psi.shape[1]
-    if _STORE.work.size < n * n:
-        _STORE.work = np.empty(n * n, dtype=complex)
-    return _STORE.work[: n * n].reshape(n, n)
+    work = _STORE.work
+    if work.size < n * n:
+        work = np.empty(n * n, dtype=complex)
+        if chain.psi.shape[0] <= DIM_CAP:
+            _STORE.work = work
+    return work[: n * n].reshape(n, n)
 
 
 def _synthesize(rho: np.ndarray, chain: _Chain) -> np.ndarray:
@@ -408,7 +421,9 @@ def synth_grid(
 ) -> WignerGrid:
     """Synthesize a Wigner grid; axes must clear the state support by five
     vacuum widths so the normalization lands within 1e-3."""
-    _require_chain_dim(np.shape(rho)[0])
+    shape = np.shape(rho)
+    if len(shape) == 2 and shape[0] == shape[1]:  # the density check names other shapes
+        _require_chain_dim(shape[0])
     rho = quantum.validate_density(rho)
     margin = _support_radius(rho) + 5.0 * math.sqrt(0.5)
     for lo, hi, _count in (x_axis, p_axis):

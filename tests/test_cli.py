@@ -248,6 +248,53 @@ def test_wigner_unfaithful_reconstruction_exit_4(tmp_path, capsys):
     assert "residual" in err
 
 
+def test_wigner_frames_give_one_row_each(tmp_path, capsys):
+    # Three frames, two on one set of axes: each row holds the values of its
+    # grid run alone, and the isotropic note names its frame.
+    axis, other = (-10.0, 10.0, 101), (-9.0, 9.0, 91)
+    paths = []
+    for name, rho, ax in (
+        ("cat", quantum.cat_state(1.5, 60), axis),
+        ("squeezed", quantum.squeezed_state(0.5, 60), other),
+        ("thermal", quantum.thermal_state(1.0, 40), axis),
+    ):
+        paths.append(str(tmp_path / f"{name}.wig"))
+        wigner.save_grid(wigner.synth_grid(rho, ax, ax), paths[-1])
+    mode_cfg = write_json(
+        tmp_path / "mode.json", {"mode_mass": "1.3e-14 kg", "zero_point": "7.8e-15 m"}
+    )
+    flags = ["--dim", "32", "--mode-config", mode_cfg]
+    code, out, _err = run_cli(["--format", "json", "wigner", *paths, *flags], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["values"] == {}
+    assert [row["grid"] for row in doc["table"]] == paths
+    for path, row in zip(paths, doc["table"]):
+        code, out, _err = run_cli(["--format", "json", "wigner", path, *flags], capsys)
+        alone = json.loads(out)["values"]
+        assert code == 0 and sorted(row) == sorted(["grid", *alone])
+        for key, value in alone.items():
+            assert row[key] == (f"{value:.6e}" if isinstance(value, float) else str(value))
+    assert doc["notes"] == [
+        "fhat in the vacuum => 2.0 quadrature convention",
+        f"{paths[2]}: isotropic state: every quadrature maximizes the QFI; "
+        "theta_star is 0 by convention",
+        "theta_star in rad",
+    ]
+
+
+def test_wigner_frame_error_names_its_file(tmp_path, capsys):
+    good = write_vacuum_grid(tmp_path / "vacuum.wig")
+    rng = np.random.default_rng(8)
+    values = np.abs(rng.standard_normal((41, 41))) * 0.01 + 0.001
+    values /= values.sum() * 0.5 * 0.5
+    bad = tmp_path / "garbage.wig"
+    wigner.save_grid(wigner.WignerGrid(-10, 10, 41, -10, 10, 41, values), bad)
+    code, out, err = run_cli(["wigner", good, str(bad), "--dim", "20"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {bad}: unfaithful reconstruction")
+
+
 # ---------------------------------------------------------------------------
 # diffraction
 # ---------------------------------------------------------------------------

@@ -485,10 +485,28 @@ def test_store_keeps_one_axes_set():
     # Every chain of the thread writes into one grow-only workspace.
     big = wigner._workspace(store.chains[61])
     assert wigner._workspace(first).base is big.base
-    # Other axes drop every chain of the old ones.
-    wigner._position_chain(12, xs_b, xs_b)
+    # Other axes drop every chain of the old ones, and the workspace with them.
+    small = wigner._position_chain(12, xs_b, xs_b)
     assert sorted(store.chains) == [12]
+    assert store.work.size == 0
+    assert wigner._workspace(small).size == store.work.size < big.size
     assert wigner._position_chain(40, xs_a, xs_a) is not first
+
+
+def test_store_keeps_no_chain_above_dim_cap():
+    # Only synthesis asks for a dim above DIM_CAP, so its chain and its
+    # workspace would stay with the thread and never be reused.
+    xs = np.linspace(-3.0, 3.0, 61)
+    kept = wigner._position_chain(40, xs, xs)
+    work = wigner._STORE.work
+    rho = quantum.vacuum_state(wigner.DIM_CAP + 1)
+    w = wigner.synth_values(rho, xs, xs)
+    assert w.tobytes() == _fresh_synth(rho, xs, xs).tobytes()
+    assert wigner._STORE.chains == {40: kept}
+    assert wigner._STORE.work is work
+    assert wigner._position_chain(wigner.DIM_CAP + 1, xs, xs) is not wigner._position_chain(
+        wigner.DIM_CAP + 1, xs, xs
+    )
 
 
 @pytest.mark.parametrize(
@@ -526,6 +544,12 @@ def test_chain_dim_above_cap_raises_before_any_work():
     with pytest.raises(DomainError, match="HERMITE_DIM_CAP"):
         wigner.synth_values(rho, xs, xs)
     with pytest.raises(DomainError, match="HERMITE_DIM_CAP"):
+        synth_grid(rho, (-3.0, 3.0, 61), (-3.0, 3.0, 61))
+
+
+@pytest.mark.parametrize("rho", [np.float64(1.0), np.zeros((601, 3)), np.zeros(3)])
+def test_synth_grid_names_a_shape_that_is_not_square(rho):
+    with pytest.raises(DomainError, match="square matrix"):
         synth_grid(rho, (-3.0, 3.0, 61), (-3.0, 3.0, 61))
 
 
