@@ -201,15 +201,6 @@ def classical_fi_grid(p: np.ndarray, h: float) -> FisherResult:
     )
 
 
-def binary_trial_fi(probability: float, derivative: float) -> float:
-    """FI of a two-outcome trial {R, 1-R}: R'^2 / (R (1 - R))."""
-    if not 0.0 < probability < 1.0:
-        raise DomainError(
-            f"binary-trial probability must lie strictly in (0, 1), got {probability}"
-        )
-    return derivative**2 / (probability * (1.0 - probability))
-
-
 def qfi_max_quadrature(rho: np.ndarray, x_op: np.ndarray, p_op: np.ndarray):
     """Maximize QFI over quadratures A(theta) = cos(theta) x + sin(theta) p.
 

@@ -14,10 +14,16 @@ Synthesis goes through the position basis, W(x, p) = (1/pi) int
 Light*, 1997, ch. 3; the route of QuTiP's ``wigner(method='fft')``,
 Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)): Hermite
 functions psi_n by their three-term recurrence on a q-grid aligned with the
-x axis, one GEMM psi^T rho psi, and a Fourier sum along its anti-diagonals.
+x axis, the GEMM psi^T rho psi, and a Fourier sum along its anti-diagonals.
 The q-step is dx / s, with s the smallest integer that keeps pi / step at or
 above p_max + sqrt(2d + 1) + HERMITE_MARGIN, so the y-sum does not alias.
-The overlap reconstruction is the exact adjoint of that chain.
+The overlap reconstruction is the exact adjoint of that chain.  The
+anti-diagonal pairs (x - y, x + y) read psi^T rho psi only in the box of
+rows x - y and columns x + y, so a chain keeps psi_n on those q-points
+alone and forms only that block: on a patch around a displaced state the
+box is a quarter to two fifths of the q x q square.  Both Fourier sums
+are real GEMMs against one interleaved (cos, -sin) phase matrix: the grid
+is real, and synthesis reads only the real part.
 
 A chain depends only on the axes and the dim, so it is a plan for its grid,
 as an FFT plan is: ``reconstruct`` and ``synth_values`` take it from a store
@@ -26,12 +32,12 @@ the frames of one grid (``macrosize wigner`` with several grid files, or a
 loop over ``reconstruct``) build it once.  The store is per thread (threads
 reconstructing different grids on the same axes share no buffer), its
 arrays are read-only, and every chain it keeps writes into that thread's
-one q x q complex workspace, sized for the largest of them.  Memory stays
-bounded by one set of axes: a thread keeps at most the auto-dim ladder 40,
-61, 92, 139, 200 plus one other dim, drops the chains and the workspace
-when other axes arrive, and keeps no chain above ``DIM_CAP`` (only
-synthesis asks for one, and ``reconstruct`` could never reuse it).  A
-thread's store goes when the thread ends.
+one complex workspace, sized for the largest rows x cols box among them.
+Memory stays bounded by one set of axes: a thread keeps at most the
+auto-dim ladder 40, 61, 92, 139, 200 plus one other dim, drops the chains
+and the workspace when other axes arrive, and keeps no chain above
+``DIM_CAP`` (only synthesis asks for one, and ``reconstruct`` could never
+reuse it).  A thread's store goes when the thread ends.
 ``fock_kernel`` evaluates one kernel |m><n| in closed form and is kept as
 the reference both are tested against; it is the one function here that
 needs scipy, and imports it when called.
@@ -109,6 +115,15 @@ class WignerGrid:
     values: np.ndarray  # shape (p_count, x_count), row i = p index i ascending
 
     def __post_init__(self):
+        for name, lo, hi, count in (
+            ("x", self.x_min, self.x_max, self.x_count),
+            ("p", self.p_min, self.p_max, self.p_count),
+        ):
+            if not (count >= 2 and math.isfinite(hi - lo) and hi > lo):
+                raise GridAxisError(
+                    f"{name} axis [{lo}, {hi}] with {count} points: need at least "
+                    f"2 points and finite bounds with {name}_min < {name}_max"
+                )
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.p_count, self.x_count):
             raise GridAxisError(
@@ -265,13 +280,19 @@ def fock_kernel(m: int, n: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 class _Chain(NamedTuple):
     """The position-basis chain of one dim on one pair of axes, read-only.
 
-    ``psi[n, k]`` = psi_n(q_k) for n < dim on the q-grid of step ``h``;
-    ``valid[i, j]`` marks the j >= 0 whose x_i -+ j h both lie on the
-    q-grid, ``pairs`` holds their q-indices (of x_i - j h, of x_i + j h) in
-    the order of ``valid``, and ``phase[j, l]`` = e^{2i p_l j h}.
+    On the q-grid of step ``h``, ``valid[i, j]`` marks the j >= 0 whose
+    x_i -+ j h both lie on it.  Only the q-points these pairs use are kept:
+    ``rows[n, b]`` = psi_n at the b-th q-point that occurs as an x_i - j h,
+    ``cols[n, a]`` = psi_n at the a-th that occurs as an x_i + j h (two views
+    of one array, which overlap on the x range), and ``pairs`` holds the
+    indices (into ``rows``, into ``cols``) in the order of ``valid``.
+    ``phase[l, 2j:2j + 2]`` = (cos, -sin)(2 p_l j h), halved at j = 0: the
+    real and imaginary parts of e^{-2i p_l j h}, interleaved, which both
+    Fourier sums multiply as one real matrix.
     """
 
-    psi: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     h: float
     valid: np.ndarray
     pairs: tuple[np.ndarray, np.ndarray]
@@ -285,7 +306,8 @@ def _build_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     with h = dx / s, so every x_i +- j h on it is a grid point.  s is the
     smallest integer with pi / h >= p_max + R: the y-sum at step h adds to
     W(x, p) its copies at p + k pi / h, k != 0, which lie beyond R where
-    the kernels of the dim-level basis vanish.
+    the kernels of the dim-level basis vanish.  The Hermite functions are
+    evaluated only from the lowest x_i - j h to the highest x_i + j h.
     """
     radius = math.sqrt(2.0 * dim + 1.0) + HERMITE_MARGIN
     dx = float(xs[-1] - xs[0]) / (xs.size - 1)
@@ -293,7 +315,21 @@ def _build_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     s = max(1, math.ceil(dx * (p_max + radius) / math.pi))
     h = dx / s
     k_lo = math.ceil((-radius - xs[0]) / h)
-    q = xs[0] + h * np.arange(k_lo, math.floor((radius - xs[0]) / h) + 1)
+    size = math.floor((radius - xs[0]) / h) - k_lo + 1
+
+    centre = s * np.arange(xs.size) - k_lo
+    reach = np.minimum(centre, size - 1 - centre)
+    j = np.arange(max(int(reach.max()) + 1, 0))
+    valid = j <= reach[:, None]
+    lo, hi = (centre[:, None] - j)[valid], (centre[:, None] + j)[valid]
+    # Rows run from the lowest x_i - j h to the highest x_i, columns from the
+    # lowest x_i to the highest x_i + j h; no pair, no q-point.
+    if lo.size:
+        first, last = int(lo.min()), int(hi.max())
+        n_rows, split = int(lo.max()) - first + 1, int(hi.min()) - first
+    else:
+        first, last, n_rows, split = 0, -1, 0, 0
+    q = xs[0] + h * np.arange(k_lo + first, k_lo + last + 1)
 
     # psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1}
     psi = np.empty((dim, q.size))
@@ -303,15 +339,12 @@ def _build_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
         if n > 1:
             psi[n] -= math.sqrt((n - 1) / n) * psi[n - 2]
 
-    centre = s * np.arange(xs.size) - k_lo
-    reach = np.minimum(centre, q.size - 1 - centre)
-    j = np.arange(max(int(reach.max()) + 1, 0))
-    valid = j <= reach[:, None]
-    pairs = ((centre[:, None] - j)[valid], (centre[:, None] + j)[valid])
-    phase = np.exp(2j * h * np.outer(j, ps))
+    pairs = (lo - first, hi - first - split)
+    phase = np.exp(-2j * h * np.outer(ps, j)).view(float)
+    phase[:, :2] *= 0.5
     for array in (psi, valid, *pairs, phase):
         array.flags.writeable = False
-    return _Chain(psi, h, valid, pairs, phase)
+    return _Chain(psi[:, :n_rows], psi[:, split:], h, valid, pairs, phase)
 
 
 def _next_dim(dim: int) -> int:
@@ -331,7 +364,7 @@ _AUTO_DIMS = _auto_dims()
 
 
 class _Store(threading.local):
-    """One thread's chains for one set of axes, and their q x q workspace."""
+    """One thread's chains for one set of axes, and their workspace."""
 
     def __init__(self):
         self.axes: tuple[bytes, bytes] | None = None
@@ -371,38 +404,59 @@ def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
 
 
 def _workspace(chain: _Chain) -> np.ndarray:
-    """A q x q complex workspace for ``chain``, its contents left over from
-    the last chain that used it: a view of this thread's one buffer, which
-    grows for the chains the store keeps; a chain above ``DIM_CAP`` that
-    does not fit it gets a buffer of its own."""
-    n = chain.psi.shape[1]
+    """A rows x cols complex workspace for ``chain``, its contents left over
+    from the last chain that used it: a view of this thread's one buffer,
+    which grows for the chains the store keeps; a chain above ``DIM_CAP``
+    that does not fit it gets a buffer of its own."""
+    shape = (chain.rows.shape[1], chain.cols.shape[1])
+    size = shape[0] * shape[1]
     work = _STORE.work
-    if work.size < n * n:
-        work = np.empty(n * n, dtype=complex)
-        if chain.psi.shape[0] <= DIM_CAP:
+    if work.size < size:
+        work = np.empty(size, dtype=complex)
+        if chain.rows.shape[0] <= DIM_CAP:
             _STORE.work = work
-    return work[: n * n].reshape(n, n)
+    return work[:size].reshape(shape)
 
 
 def _synthesize(rho: np.ndarray, chain: _Chain) -> np.ndarray:
-    """W of ``rho`` on the axes of ``chain``; overwrites the thread's workspace."""
-    psi, h, valid, pairs, phase = chain
+    """W of ``rho`` on the axes of ``chain``; overwrites the thread's workspace.
+
+    W(x, p) = (h/pi) sum_j <x - jh|rho|x + jh> e^{2ipjh}; the terms at -j
+    are the conjugates of those at j, so W = (2h/pi) Re sum_{j >= 0} of
+    g[x, j] = <x - jh|rho|x + jh> times the phase, halved at j = 0.  g is
+    read off the block rows^T rho cols of psi^T rho psi, one real GEMM on the
+    interleaved real and imaginary parts of rho cols, and Re(g phase) is one
+    real GEMM of the interleaved g against the interleaved conjugate phase,
+    (Re g, Im g) . (cos, -sin).
+    """
+    rows, cols, h, valid, pairs, phase = chain
     kernel = _workspace(chain)
-    # W(x, p) = (h/pi) sum_j <x - jh|rho|x + jh> e^{2ipjh}; the terms at -j
-    # are the conjugates of those at j, so j >= 0 counts twice (j = 0 once).
-    # kernel[b, a] = <q_b|rho|q_a> = (psi^T rho psi)[b, a], one real GEMM on
-    # the interleaved real and imaginary parts.
-    right = np.ascontiguousarray(rho @ psi, dtype=complex)
-    np.matmul(psi.T, right.view(float), out=kernel.view(float))
+    right = np.ascontiguousarray(rho @ cols, dtype=complex)
+    np.matmul(rows.T, right.view(float), out=kernel.view(float))
     g = np.zeros(valid.shape, dtype=complex)
     g[valid] = kernel[pairs]
-    g[:, 1:] *= 2.0
-    return (h / math.pi) * np.real(g @ phase).T
+    return (2.0 * h / math.pi) * (phase @ g.view(float).T)
 
 
 def synth_values(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
-    """W(x, p) of a density matrix on the given axes."""
+    """W(x, p) of a density matrix on the given axes.
+
+    ``rho`` must be a non-empty square matrix and each axis a finite,
+    increasing 1-D array of at least 2 points, x evenly spaced (the q-grid
+    is aligned with it); ``DomainError`` otherwise.
+    """
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] == 0:
+        raise DomainError(f"rho must be a non-empty square matrix, got shape {rho.shape}")
     xs, ps = np.asarray(x_axis, float), np.asarray(p_axis, float)
+    for name, axis in (("x", xs), ("p", ps)):
+        if not (axis.ndim == 1 and axis.size >= 2 and np.all(np.isfinite(axis))):
+            raise DomainError(f"{name} axis must be a finite 1-D array of at least 2 points")
+        if not np.all(np.diff(axis) > 0.0):
+            raise DomainError(f"{name} axis must be increasing")
+    steps = np.diff(xs)
+    if np.max(np.abs(steps - steps.mean())) > 1e-9 * steps.mean():
+        raise DomainError("x axis must be evenly spaced")
     return _synthesize(rho, _position_chain(rho.shape[0], xs, ps))
 
 
@@ -456,19 +510,19 @@ def _overlap_reconstruct(grid: WignerGrid, chain: _Chain) -> np.ndarray:
     """Raw rho_mn = 2 pi <W, conj(K_mn)> dx dp, the adjoint of ``_synthesize``.
 
     With K_mn = (1/pi) sum_j psi_m(x - jh) psi_n(x + jh) e^{2ipjh} h, the
-    p-sum G = W^T e^{-2ipjh} lands on the anti-diagonal (x - jh, x + jh) of
-    a q x q matrix M, and rho = 2 dx dp h psi M psi^T.  M holds only j >= 0,
-    with j = 0 halved; the j < 0 half is its conjugate transpose, so
+    p-sum G = W^T e^{-2ipjh} (one real GEMM of the real grid against the
+    interleaved phase) lands on the anti-diagonal (x - jh, x + jh) of a
+    rows x cols matrix M, and rho = 2 dx dp h rows M cols^T.  M holds only
+    j >= 0, with j = 0 halved; the j < 0 half is its conjugate transpose, so
     rho = X + X^H with X from the j >= 0 half, Hermitian by construction.
     M is built in the thread's workspace.
     """
-    psi, h, valid, pairs, phase = chain
+    rows, cols, h, valid, pairs, phase = chain
     m = _workspace(chain)
-    g = grid.values.T @ phase.conj().T
-    g[:, :1] *= 0.5
+    g = (grid.values.T @ phase).view(complex)
     m.fill(0.0)
     m[pairs] = g[valid]
-    half = (psi @ m.view(float)).view(complex) @ psi.T
+    half = (rows @ m.view(float)).view(complex) @ cols.T
     return 2.0 * grid.dx * grid.dp * h * (half + half.conj().T)
 
 

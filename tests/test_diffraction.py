@@ -206,10 +206,11 @@ def test_fi_bound_values():
 def test_fi_bound_is_profile_at_lattice_points():
     k = 2 * math.pi / 266e-9
     s_lattice = np.array([0.0, math.pi / k, 2 * math.pi / k])
-    # Binary-trial FI of R(s) = <g>(1 + v sin ks) at the lattice points.
+    # FI of the two-outcome trial {R, 1 - R}, R'^2 / (R (1 - R)), with
+    # R(s) = <g>(1 + v sin ks) at the lattice points.
     r = 0.43 * (1.0 + 0.25 * np.sin(k * s_lattice))
     rp = 0.43 * 0.25 * k * np.cos(k * s_lattice)
-    profile = [fisher.binary_trial_fi(ri, rpi) for ri, rpi in zip(r, rp)]
+    profile = rp**2 / (r * (1.0 - r))
     assert np.allclose(profile, fi_bound(0.43, 0.25, k), rtol=1e-9)
 
 

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from macrosize import fisher, quantum
 from macrosize.errors import DomainError
@@ -107,26 +105,6 @@ def test_classical_fi_rejects_a_nan_sample():
         fisher.classical_fi_grid(p, h)
     with pytest.raises(DomainError, match="^h must be finite and positive, got nan$"):
         fisher.classical_fi_grid(np.ones(3), float("nan"))
-
-
-def test_binary_trial_plugin():
-    assert fisher.binary_trial_fi(0.5, 1.0) == pytest.approx(4.0)
-    assert fisher.binary_trial_fi(0.3, 0.0) == 0.0
-
-
-def test_binary_trial_fein_anchor():
-    # At lattice points the bound reduces to <g> (v k)^2 / (1 - <g>).
-    g, v = 0.43, 0.25
-    k = 2 * math.pi / 266e-9
-    r, rp = g, g * v * k
-    assert fisher.binary_trial_fi(r, rp) == pytest.approx(
-        g / (1 - g) * (v * k) ** 2, rel=1e-12
-    )
-
-
-def test_binary_trial_rejects_endpoints():
-    with pytest.raises(DomainError):
-        fisher.binary_trial_fi(1.0, 0.5)
 
 
 def test_quadrature_scan_vacuum_flat():
@@ -583,17 +561,3 @@ def test_classical_fi_never_exceeds_qfi(rng):
         embedded = np.zeros((7, 7), dtype=complex)
         embedded[:6, :6] = rho
         assert fi <= fisher.qfi(embedded, p_op).value + 1e-6
-
-
-# ---------------------------------------------------------------------------
-# scalar properties via hypothesis
-# ---------------------------------------------------------------------------
-
-
-@given(
-    r=st.floats(min_value=1e-6, max_value=1 - 1e-6),
-    rp=st.floats(min_value=-100, max_value=100),
-)
-@settings(max_examples=200, deadline=None)
-def test_binary_trial_nonnegative(r, rp):
-    assert fisher.binary_trial_fi(r, rp) >= 0.0

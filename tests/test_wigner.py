@@ -83,6 +83,46 @@ def test_grid_invariant_checks():
         WignerGrid(-1, 1, 4, -1, 1, 4, values * np.nan)
 
 
+@pytest.mark.parametrize(
+    "axes",
+    [
+        (-1.0, 1.0, 1, -1.0, 1.0, 4),  # one x point: no dx
+        (-1.0, 1.0, 4, -1.0, 1.0, 1),
+        (1.0, -1.0, 4, -1.0, 1.0, 4),  # reversed x
+        (-1.0, 1.0, 4, 1.0, 1.0, 4),  # empty p range
+        (-1.0, math.inf, 4, -1.0, 1.0, 4),
+        (-1.0, 1.0, 4, math.nan, 1.0, 4),
+        (-1e308, 1e308, 4, -1.0, 1.0, 4),  # the width overflows
+    ],
+)
+def test_grid_rejects_degenerate_axes(axes):
+    x_count, p_count = axes[2], axes[5]
+    with pytest.raises(GridAxisError, match="at least 2 points and finite bounds"):
+        WignerGrid(*axes, np.zeros((p_count, x_count)))
+
+
+LINE = np.linspace(-5.0, 5.0, 41)
+
+
+@pytest.mark.parametrize(
+    "rho,x_axis,p_axis,match",
+    [
+        (np.zeros((0, 0)), LINE, LINE, "non-empty square"),
+        (np.zeros((1, 2)), LINE, LINE, "non-empty square"),
+        (np.ones(3), LINE, LINE, "non-empty square"),
+        (np.ones((1, 1)), np.array([0.0]), LINE, "at least 2 points"),
+        (np.ones((1, 1)), LINE, np.zeros((2, 2)), "1-D"),
+        (np.ones((1, 1)), LINE, np.array([0.0, np.nan]), "finite"),
+        (np.ones((1, 1)), LINE[::-1], LINE, "x axis must be increasing"),
+        (np.ones((1, 1)), LINE, LINE[::-1], "p axis must be increasing"),
+        (np.ones((1, 1)), np.array([0.0, 1.0, 3.0]), LINE, "evenly spaced"),
+    ],
+)
+def test_synth_values_checks_rho_and_axes(rho, x_axis, p_axis, match):
+    with pytest.raises(DomainError, match=match):
+        wigner.synth_values(rho, x_axis, p_axis)
+
+
 def test_save_load_roundtrip_bit_identical(tmp_path):
     grid = synth_grid(quantum.cat_state(2.0, 40), WIDE, (-10.0, 10.0, 101))
     path = tmp_path / "cat.wig"
@@ -258,29 +298,30 @@ def test_reconstruct_rejects_nan_residual(monkeypatch):
 
 
 def _fresh_synth(rho, xs, ps):
-    """``synth_values`` through a freshly built chain and fresh q x q temporaries."""
-    psi, h, valid, pairs, phase = wigner._build_chain(rho.shape[0], xs, ps)
-    right = np.ascontiguousarray(rho @ psi, dtype=complex)
-    kernel = (psi.T @ right.view(float)).view(complex)
+    """``synth_values`` through a freshly built chain and a fresh rows x cols
+    temporary."""
+    rows, cols, h, valid, pairs, phase = wigner._build_chain(rho.shape[0], xs, ps)
+    right = np.ascontiguousarray(rho @ cols, dtype=complex)
+    kernel = (rows.T @ right.view(float)).view(complex)
     g = np.zeros(valid.shape, dtype=complex)
     g[valid] = kernel[pairs]
-    g[:, 1:] *= 2.0
-    return (h / math.pi) * np.real(g @ phase).T
+    return (2.0 * h / math.pi) * (phase @ g.view(float).T)
 
 
 def _two_chain_reconstruct(grid, dim):
     """``reconstruct`` with one chain for the overlaps and another for the
-    residual, each freshly built and with fresh q x q temporaries: the
+    residual, each freshly built and with fresh rows x cols temporaries: the
     reference the stored chains and the shared workspace must match byte for
     byte.  Returns ``(rho, dim, residual, resynth)``."""
 
     def overlap(dim):
-        psi, h, valid, pairs, phase = wigner._build_chain(dim, grid.x_axis, grid.p_axis)
-        g = grid.values.T @ phase.conj().T
-        g[:, :1] *= 0.5
-        m = np.zeros((psi.shape[1], psi.shape[1]), dtype=complex)
+        rows, cols, h, valid, pairs, phase = wigner._build_chain(
+            dim, grid.x_axis, grid.p_axis
+        )
+        g = (grid.values.T @ phase).view(complex)
+        m = np.zeros((rows.shape[1], cols.shape[1]), dtype=complex)
         m[pairs] = g[valid]
-        half = (psi @ m.view(float)).view(complex) @ psi.T
+        half = (rows @ m.view(float)).view(complex) @ cols.T
         return 2.0 * grid.dx * grid.dp * h * (half + half.conj().T)
 
     auto = dim is None
@@ -348,6 +389,80 @@ def test_reconstruct_matches_two_chain_path(monkeypatch, case, dim, final_dim):
     assert report.residual == residual
     assert len(synthesized) == 1
     assert synthesized[0].tobytes() == resynth.tobytes()
+
+
+def _full_chain_path(dim, xs, ps, rho, values):
+    """Synthesis and raw overlaps through the whole q x q kernel with complex
+    Fourier sums: the reference the box and the real sums are tested
+    against.  Returns ``(W of rho, raw overlaps of values, s)``."""
+    radius = math.sqrt(2.0 * dim + 1.0) + wigner.HERMITE_MARGIN
+    dx = float(xs[-1] - xs[0]) / (xs.size - 1)
+    s = max(1, math.ceil(dx * (float(np.max(np.abs(ps))) + radius) / math.pi))
+    h = dx / s
+    k_lo = math.ceil((-radius - xs[0]) / h)
+    q = xs[0] + h * np.arange(k_lo, math.floor((radius - xs[0]) / h) + 1)
+    psi = np.empty((dim, q.size))
+    psi[0] = math.pi**-0.25 * np.exp(-0.5 * q * q)
+    for n in range(1, dim):
+        psi[n] = math.sqrt(2.0 / n) * q * psi[n - 1]
+        if n > 1:
+            psi[n] -= math.sqrt((n - 1) / n) * psi[n - 2]
+    centre = s * np.arange(xs.size) - k_lo
+    reach = np.minimum(centre, q.size - 1 - centre)
+    j = np.arange(max(int(reach.max()) + 1, 0))
+    valid = j <= reach[:, None]
+    pairs = ((centre[:, None] - j)[valid], (centre[:, None] + j)[valid])
+    phase = np.exp(2j * h * np.outer(j, ps))
+
+    kernel = psi.T @ (rho @ psi)
+    g = np.zeros(valid.shape, dtype=complex)
+    g[valid] = kernel[pairs]
+    g[:, 1:] *= 2.0
+    w = (h / math.pi) * np.real(g @ phase).T
+
+    g = values.T @ phase.conj().T
+    g[:, :1] *= 0.5
+    m = np.zeros((q.size, q.size), dtype=complex)
+    m[pairs] = g[valid]
+    half = psi @ m @ psi.T
+    area = (xs[1] - xs[0]) * (ps[1] - ps[0])
+    return w, 2.0 * area * h * (half + half.conj().T), s
+
+
+PATCH = _coherent_patch()
+
+
+@pytest.mark.parametrize(
+    "dim,x_axis,p_axis,s",
+    [
+        (12, AXES, AXES, 1),
+        (32, (-9.0, 9.0, 91), (-9.0, 9.0, 91), 2),
+        (32, (-7.0, 7.0, 71), (-40.0, 40.0, 201), 4),
+        (150, (-22.0, 22.0, 361), (-22.0, 22.0, 361), 2),
+        (61, (PATCH.x_min, PATCH.x_max, 33), (PATCH.p_min, PATCH.p_max, 33), 3),
+        # near the cap: dim 139 on a 61 x 61 patch at radius 11.7, where a
+        # coherent state of |alpha| = 8.3 sits
+        (139, (8.31, 14.31, 61), (0.07, 6.07, 61), 1),
+        # x reaches past the cut radius 17.1 of dim 61
+        (61, (10.0, 26.0, 41), (-6.0, 6.0, 41), 3),
+    ],
+    ids=["s1", "s2", "s4-wide-p", "centred-150", "coherent-patch", "near-cap", "past-radius"],
+)
+def test_box_and_real_sums_match_full_kernel_path(rng, dim, x_axis, p_axis, s):
+    xs, ps = np.linspace(*x_axis), np.linspace(*p_axis)
+    rho = random_density(rng, dim)
+    values = rng.standard_normal((ps.size, xs.size))
+    w_full, overlaps_full, s_full = _full_chain_path(dim, xs, ps, rho, values)
+    assert s_full == s
+    chain = wigner._position_chain(dim, xs, ps)
+    assert (xs[1] - xs[0]) / chain.h == pytest.approx(s)
+    # The real Fourier sums reorder the complex ones: rounding level, on W of
+    # order 1/pi and on overlaps of unit-variance values.
+    w = wigner.synth_values(rho, xs, ps)
+    assert np.max(np.abs(w - w_full)) <= 1e-14
+    grid = WignerGrid(*x_axis, *p_axis, values)
+    overlaps = wigner._overlap_reconstruct(grid, chain)
+    assert np.max(np.abs(overlaps - overlaps_full)) <= 1e-13
 
 
 NINE = (-9.0, 9.0, 91)
@@ -466,10 +581,12 @@ def test_threads_give_serial_bytes():
 def test_stored_chain_is_read_only():
     xs = np.linspace(*NINE)
     chain = wigner._position_chain(12, xs, xs)
-    for array in (chain.psi, chain.valid, *chain.pairs, chain.phase):
+    # rows and cols are two views of one array of Hermite functions.
+    assert chain.rows.base is chain.cols.base
+    for array in (chain.rows.base, chain.rows, chain.cols, chain.valid, *chain.pairs, chain.phase):
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        chain.psi[0, 0] = 1.0
+        chain.cols[0, 0] = 1.0
 
 
 def test_store_keeps_one_axes_set():
@@ -528,7 +645,9 @@ def test_reconstruct_accepts_whole_float_dim():
 def test_hermite_norms_hold_at_cap():
     xs = np.linspace(-3.0, 3.0, 61)
     chain = wigner._position_chain(wigner.HERMITE_DIM_CAP, xs, xs)
-    norms = np.sum(chain.psi**2, axis=1) * chain.h
+    # On centred axes the rows and columns together span [-R, R]: the array
+    # they view holds every psi_n on the whole q-grid.
+    norms = np.sum(chain.rows.base**2, axis=1) * chain.h
     assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
@@ -850,16 +969,22 @@ def test_wide_grid_kernels_stay_finite():
 
 
 def test_grid_outside_support_gives_zeros():
-    # Every x lies beyond the cut radius of dim 40, so no (x - y, x + y)
-    # pair falls on the q-grid: zeros, not an empty-index failure.
-    x_axis, p_axis = (40.0, 48.0, 33), (-4.0, 4.0, 33)
+    # Every x lies beyond the cut radius of dim 40 (and of dim 200), so no
+    # (x - y, x + y) pair falls on the q-grid: empty boxes, zeros and a "zero
+    # state", not an empty-index failure.
+    p_axis = (-4.0, 4.0, 33)
     rho = random_density(np.random.default_rng(1), 40)
-    values = wigner.synth_values(rho, np.linspace(*x_axis), np.linspace(*p_axis))
-    assert values.shape == (33, 33)
-    assert np.array_equal(values, np.zeros((33, 33)))
-    grid = WignerGrid(*x_axis, *p_axis, np.ones((33, 33)))
-    chain = wigner._position_chain(40, grid.x_axis, grid.p_axis)
-    assert np.array_equal(wigner._overlap_reconstruct(grid, chain), np.zeros((40, 40)))
+    for x_axis in ((30.0, 40.0, 33), (40.0, 48.0, 33)):
+        values = wigner.synth_values(rho, np.linspace(*x_axis), np.linspace(*p_axis))
+        assert values.shape == (33, 33)
+        assert np.array_equal(values, np.zeros((33, 33)))
+        grid = WignerGrid(*x_axis, *p_axis, np.ones((33, 33)))
+        chain = wigner._position_chain(40, grid.x_axis, grid.p_axis)
+        assert chain.rows.shape == chain.cols.shape == (40, 0)
+        assert np.array_equal(wigner._overlap_reconstruct(grid, chain), np.zeros((40, 40)))
+        for dim in (40, None):
+            with pytest.raises(ReconstructionError, match="zero state"):
+                reconstruct(grid, dim)
 
 
 @given(
