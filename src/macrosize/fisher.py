@@ -31,9 +31,10 @@ or the one ``quantum.eigh`` spectrum the QFI reads.  Their private cores
 ``_qfi``, ``_state_variance`` and ``_max_quadrature`` take a
 ``quantum.Density`` that is already checked.  Two kinds of state arrive
 already decomposed and go straight to ``_max_quadrature``: a Fock state from
-``quantum.build_state`` (a pure psi, or thermal weights with eigenvectors I),
-which ``macrosize measure`` uses, and a reconstruction from a Wigner grid,
-whose clipped spectrum ``wigner.qfi_from_grid`` hands over.
+``quantum.build_state`` (a pure psi, or a thermal state's weights on the
+Fock basis, eigenvectors ``None``, and no dense rho), which ``macrosize
+measure`` uses, and a reconstruction from a Wigner grid, whose clipped
+spectrum ``wigner.qfi_from_grid`` hands over.
 
 ``_max_quadrature`` takes the quadrature pair as one operator
 A = (x + ip) / sqrt2, so x = (A + A^+) / sqrt2 and p = (A - A^+) / (i sqrt2)
@@ -43,11 +44,13 @@ action is the O(d) row shifts ``quantum.annihilate`` and ``quantum.create``;
 ``qfi_max_quadrature`` passes the action of the dense A it builds from its
 checked x and p.  The 2x2 matrix then needs two sums, S0 and S1: from
 A psi and A^+ psi for a pure state, and from one rotation
-A_hat = V^+ (A V), a row shift and one GEMM, for a spectrum.  A built
-thermal state carries the real identity as V, so its rotation is one real
-GEMM.  On 2 cores the best quadrature of a built squeezed vacuum takes
-about 0.05 ms at dim 600 and 0.1 ms at dim 2000, and of a built thermal
-state 10 ms and 0.27 s, most of it the GEMM and the pair weights.  Through
+A_hat = V^+ (A V), a row shift and one GEMM, for a spectrum.  A spectrum
+on the Fock basis, a built thermal state's, needs no rotation: A_hat is the
+ladder's one band, so S1 = 0 and S0 is an O(d) sum over it, and the count
+of dropped pairs an O(d log d) search of the sorted weights.  On 2 cores
+building a state and its best quadrature take about 0.1 ms at dim 400 and
+0.4 ms at dim 2000 for squeezed vacuum, and 0.06 ms and 0.1 ms for a
+thermal state, with a tracemalloc peak of 0.2 MB at dim 2000.  Through
 ``qfi_max_quadrature`` squeezed vacuum takes about 9 ms and 0.16 s, most of
 it the Hermiticity checks of rho, x and p and forming A.
 """
@@ -135,12 +138,37 @@ def _pair_weights(state: quantum.Density):
     weights *= weights
     np.divide(weights, sums, out=weights, where=keep)
     weights[dropped] = 0.0
-    diagnostics = {
-        "purity": state.purity,
-        "discarded_pairs": int(np.count_nonzero(dropped)),
-        "pair_threshold": threshold,
-    }
-    return weights, dropped, diagnostics
+    return weights, dropped, _spectral_diagnostics(state, int(np.count_nonzero(dropped)), threshold)
+
+
+def _spectral_diagnostics(state: quantum.Density, discarded_pairs: int, threshold: float) -> dict:
+    return {"purity": state.purity, "discarded_pairs": discarded_pairs, "pair_threshold": threshold}
+
+
+def _count_dropped_pairs(lam: np.ndarray, threshold: float) -> int:
+    """How many of the d^2 pairs of the descending ``lam`` have l_i + l_j <= threshold,
+    the pairs ``_pair_weights`` drops, in O(d log d).
+
+    Rounding is monotone, so the j whose rounded l_i + l_j is at or below the
+    threshold form a suffix of each row.  Its start is guessed from the
+    unrounded l_j <= threshold - l_i, and kept where the comparison
+    ``_pair_weights`` makes confirms it on both sides; a bisection of the
+    other rows at once finds it there.
+    """
+    d = lam.size
+    guess = d - np.searchsorted(lam[::-1], threshold - lam, side="right")
+    starts = (guess == d) | (lam + lam[np.minimum(guess, d - 1)] <= threshold)
+    sure = starts & ((guess == 0) | (lam + lam[guess - 1] > threshold))
+    first = np.where(sure, guess, 0)  # the suffix of row i starts in [first, last]
+    last = np.where(sure, guess, d)
+    while True:
+        open_rows = first < last
+        if not open_rows.any():
+            return int(np.sum(d - first))
+        mid = (first + last) // 2
+        drop = lam + lam[np.minimum(mid, d - 1)] <= threshold
+        last = np.where(open_rows & drop, mid, last)
+        first = np.where(open_rows & ~drop, mid + 1, first)
 
 
 def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
@@ -246,7 +274,11 @@ def _max_quadrature(state: quantum.Density, pair=LADDER):
     b = A^+ psi - <A^+> psi: S0 = ||a||^2 + ||b||^2 and S1 = 2 <b|a>.  A
     spectrum takes one rotation A_hat = V^+ (A V) and the ``_pair_sums`` of
     A_hat over the pair weights; the same sums D0, D1 over the dropped pairs
-    give the discarded mass D0 + Re(e^{-2i theta} D1) along theta.
+    give the discarded mass D0 + Re(e^{-2i theta} D1) along theta.  A
+    spectrum on the Fock basis (eigenvectors ``None``) has A_hat = a, one
+    band A_{n,n+1} = sqrt(n + 1) (the ladder is the only pair it is given),
+    so S1 = D1 = 0, and S0 and D0 sum w_{n,n+1} (n + 1) and n + 1 over the
+    kept and the dropped pairs of that band, in O(d).
     """
     annihilate, create = pair
     if state.psi is not None:
@@ -258,8 +290,21 @@ def _max_quadrature(state: quantum.Density, pair=LADDER):
         s0 = float(np.real(np.vdot(a, a))) + float(np.real(np.vdot(b, b)))
         s1 = 2.0 * complex(np.vdot(b, a))
         method, diagnostics, discarded = "pure-variance", {"purity": state.purity}, None
+    elif state.spectrum.eigenvectors is None:
+        lam = state.spectrum.eigenvalues
+        threshold = PAIR_THRESHOLD_FACTOR * float(lam[0])
+        sums = lam[:-1] + lam[1:]
+        keep = sums > threshold
+        rungs = np.arange(1.0, lam.size)
+        gaps = lam[:-1][keep] - lam[1:][keep]
+        s0 = float(np.sum(gaps * gaps / sums[keep] * rungs[keep]))
+        s1 = 0j
+        diagnostics = _spectral_diagnostics(
+            state, _count_dropped_pairs(lam, threshold), threshold
+        )
+        method, discarded = "spectral", (float(np.sum(rungs[~keep])), 0j)
     else:
-        # Rotate first: with the weights formed first, the frees of a thermal
+        # Rotate first: with the weights formed first, the frees of a spectral
         # job leave glibc's heap top above its trim threshold, and the next
         # job faults the trimmed pages back in.
         vec = state.spectrum.eigenvectors

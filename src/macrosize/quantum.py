@@ -5,14 +5,17 @@ operators are ``(d, d)`` complex matrices, and density matrices
 additionally satisfy Hermiticity, unit trace and positivity:
 :func:`density` is the package's one check of them, and keeps its
 decomposition for the QFI.  Two kinds of state arrive already decomposed
-and need no check: a Fock state from :func:`build_state` (its pure psi, or
-thermal weights with the real identity as eigenvectors; :func:`make_state`
-and the per-kind constructors return its rho) and a Wigner-grid
-reconstruction.  :func:`build_state` checks its parameters finite and a
-number-state index whole, where they enter.  The QFI takes the quadrature
-pair as one operator A = (x + ip) / sqrt2, which for nu = 1/2 is the ladder
-operator: it applies A and A^+ as the O(d) row shifts :func:`annihilate` and
-:func:`create`, never the dense :func:`annihilation`.  Pure qubit registers also
+and need no check: a Fock state from :func:`build_state` and a Wigner-grid
+reconstruction.  A built Fock state carries only its decomposition, which
+is all the QFI reads: a pure psi, or a thermal state's descending weights
+on the Fock basis itself (eigenvectors ``None``), so building one costs
+O(d) memory and no d x d array.  Its rho is formed only when asked for, by
+:func:`make_state` and the per-kind constructors.  :func:`build_state`
+checks its parameters finite and a number-state index whole, where they
+enter.  The QFI takes the quadrature pair as one operator
+A = (x + ip) / sqrt2, which for nu = 1/2 is the ladder operator: it applies
+A and A^+ as the O(d) row shifts :func:`annihilate` and :func:`create`,
+never the dense :func:`annihilation`.  Pure qubit registers also
 have a structured path: a 1-D state vector with real 1-D diagonals for
 observables that are diagonal in the computational basis (see
 :func:`ghz_vector`), which costs O(2**n) per observable instead of
@@ -51,11 +54,13 @@ class Spectrum(NamedTuple):
     ``eigenvalues`` are sorted descending; ``eigenvectors[:, k]`` is the
     orthonormal eigenvector for ``eigenvalues[k]``, with the first
     significant component's phase fixed positive-real so repeated runs
-    produce identical output.
+    produce identical output.  ``eigenvectors`` is ``None`` when they are
+    the basis vectors themselves: the matrix is diagonal, with the
+    eigenvalues in order on its diagonal.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 def max_asymmetry(matrix: np.ndarray) -> float:
@@ -106,16 +111,34 @@ def purity(rho: np.ndarray) -> float:
 
 
 class Density(NamedTuple):
-    """A checked rho and its one decomposition: a pure ``psi`` or a ``spectrum``.
+    """A state's one decomposition, a pure ``psi`` or a ``spectrum``, and its purity.
 
     The spectrum is that of :func:`eigh`, or of a state decomposed by
-    construction: descending eigenvalues and orthonormal eigenvectors.
+    construction: descending eigenvalues and orthonormal eigenvectors, or
+    ``None`` for a state diagonal in the Fock basis.  ``matrix`` is the
+    state's dense rho where it has one: the checked array of
+    :func:`density`, or a reconstruction's.  A state built by
+    :func:`build_state` has none, and :attr:`rho` forms it on request.
     """
 
-    rho: np.ndarray
     purity: float
     psi: np.ndarray | None
     spectrum: Spectrum | None
+    matrix: np.ndarray | None = None
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The dense rho: ``matrix``, else psi psi^+, else V diag(l) V^+."""
+        if self.matrix is not None:
+            return self.matrix
+        if self.psi is not None:
+            return np.outer(self.psi, self.psi.conj())
+        weights, vectors = self.spectrum
+        if vectors is None:
+            rho = np.zeros((weights.size, weights.size), dtype=complex)
+            np.fill_diagonal(rho, weights)
+            return rho
+        return (vectors * weights) @ vectors.conj().T
 
 
 def density(rho: np.ndarray, name: str = "rho") -> Density:
@@ -139,12 +162,12 @@ def density(rho: np.ndarray, name: str = "rho") -> Density:
         defect = np.outer(psi, -psi.conj())
         defect += rho
         if math.sqrt(2.0) * np.linalg.norm(defect) <= -EIG_FLOOR:
-            return Density(rho, pur, psi, None)
+            return Density(pur, psi, None, rho)
     spectrum = eigh(rho)
     min_eig = float(spectrum.eigenvalues[-1])
     if min_eig < EIG_FLOOR:
         raise DomainError(f"{name} has negative eigenvalue {min_eig:.3e}")
-    return Density(rho, pur, None, spectrum)
+    return Density(pur, None, spectrum, rho)
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -300,13 +323,14 @@ def _check_tail(tail: float, dim: int, tail_of_dim, label: str) -> float:
 # Each Fock-state kind has a private builder that returns the state as a
 # Density decomposed by construction, so it needs no check by density(): a
 # pure state carries its normalized psi, a thermal state its descending
-# weights with eigenvectors I.  The public constructors return its rho.
+# weights on the Fock basis.  Neither carries a dense rho; the public
+# constructors form it.
 
 
 def _pure_density(psi: np.ndarray) -> Density:
-    """rho = psi psi^+ of a unit vector ``psi``, carrying ``psi``."""
-    rho = np.outer(psi, psi.conj())
-    return Density(rho, purity(rho), psi, None)
+    """The pure state of a unit vector ``psi``, with purity ||psi||^4."""
+    norm2 = float(np.real(np.vdot(psi, psi)))
+    return Density(norm2 * norm2, psi, None)
 
 
 def _number(n: int, dim: int) -> Density:
@@ -396,10 +420,7 @@ def _thermal(nbar: float, dim: int) -> Density:
     _check_tail(p**dim, dim, tail_of, f"thermal nbar={nbar}")
     weights = (1.0 - p) * p ** np.arange(dim)
     weights /= weights.sum()
-    rho = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(rho, weights)
-    # Real eigenvectors: the QFI's rotation is then one real GEMM.
-    return Density(rho, purity(rho), None, Spectrum(weights, np.eye(dim)))
+    return Density(float(weights @ weights), None, Spectrum(weights, None))
 
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:

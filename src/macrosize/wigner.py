@@ -299,6 +299,24 @@ class _Chain(NamedTuple):
     phase: np.ndarray
 
 
+def _q_grid(dim: int, xs: np.ndarray, ps: np.ndarray):
+    """The q-grid of the chain of ``dim``: ``(h, k_lo, size, centre, reach)``.
+
+    Its points are q_k = x_0 + (k + k_lo) h, 0 <= k < size; x_i is its point
+    ``centre[i]``, and ``reach[i]`` is the largest j with x_i -+ j h both on
+    it, negative when x_i is not.
+    """
+    radius = math.sqrt(2.0 * dim + 1.0) + HERMITE_MARGIN
+    dx = float(xs[-1] - xs[0]) / (xs.size - 1)
+    p_max = float(np.max(np.abs(ps)))
+    s = max(1, math.ceil(dx * (p_max + radius) / math.pi))
+    h = dx / s
+    k_lo = math.ceil((-radius - xs[0]) / h)
+    size = math.floor((radius - xs[0]) / h) - k_lo + 1
+    centre = s * np.arange(xs.size) - k_lo
+    return h, k_lo, size, centre, np.minimum(centre, size - 1 - centre)
+
+
 def _build_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     """Hermite functions, anti-diagonal pairs and phases of the position-basis chain.
 
@@ -309,16 +327,7 @@ def _build_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
     the kernels of the dim-level basis vanish.  The Hermite functions are
     evaluated only from the lowest x_i - j h to the highest x_i + j h.
     """
-    radius = math.sqrt(2.0 * dim + 1.0) + HERMITE_MARGIN
-    dx = float(xs[-1] - xs[0]) / (xs.size - 1)
-    p_max = float(np.max(np.abs(ps)))
-    s = max(1, math.ceil(dx * (p_max + radius) / math.pi))
-    h = dx / s
-    k_lo = math.ceil((-radius - xs[0]) / h)
-    size = math.floor((radius - xs[0]) / h) - k_lo + 1
-
-    centre = s * np.arange(xs.size) - k_lo
-    reach = np.minimum(centre, size - 1 - centre)
+    h, k_lo, size, centre, reach = _q_grid(dim, xs, ps)
     j = np.arange(max(int(reach.max()) + 1, 0))
     valid = j <= reach[:, None]
     lo, hi = (centre[:, None] - j)[valid], (centre[:, None] + j)[valid]
@@ -531,7 +540,9 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
 
     ``dim`` must be a whole number in [2, 200] (``DomainError`` otherwise).
     When it is omitted, starts at 40 and raises it until the diagonal
-    tail drops below 1e-3 (or the cap of 200).  Positivity is repaired by
+    tail drops below 1e-3 (or the cap of 200); on a grid where no chain up
+    to the cap has a pair, the dim-40 chain's zero overlaps raise "zero
+    state" at once.  Positivity is repaired by
     clipping negative eigenvalues (clipped mass reported) and the residual
     is the relative L2 misfit of the re-synthesized grid; a residual above
     ``RESIDUAL_LIMIT`` raises ``ReconstructionError``.
@@ -552,8 +563,11 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
         # the raw overlap trace measures how much of the state fits in dim.
         tail = max(0.0, 1.0 - float(np.real(np.trace(raw))))
         if auto and tail > DIAGONAL_TAIL_LIMIT and dim < DIM_CAP:
-            dim = _next_dim(dim)
-            continue
+            # A chain with no pairs leaves raw zero, a tail of 1.  Climb only
+            # if the widest chain, DIM_CAP's, has pairs on this grid.
+            if chain.valid.size or _q_grid(DIM_CAP, grid.x_axis, grid.p_axis)[-1].max() >= 0:
+                dim = _next_dim(dim)
+                continue
         break
 
     values, vectors = quantum.eigh(raw)  # raw = X + X^H is exactly Hermitian
@@ -570,7 +584,7 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
     scale = float(np.linalg.norm(grid.values))
     residual = float(np.linalg.norm(resynth - grid.values)) / max(scale, 1e-300)
     spectrum = quantum.Spectrum(clipped, vectors)
-    state = quantum.Density(rho, float(clipped @ clipped), None, spectrum)
+    state = quantum.Density(float(clipped @ clipped), None, spectrum, rho)
     report = ReconstructionReport(state, dim, clipped_mass, residual, tail)
     if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise ReconstructionError(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,77 @@ def test_ladder_best_quadrature_matches_dense_reference(kind, dim, params, near_
     theta, result = fisher._max_quadrature(quantum.build_state(kind, dim, **params))
     expected = reference_best_quadrature(quantum.make_state(kind, dim, **params))
     assert_matches_reference_best_quadrature(theta, result, expected)
+
+
+def thermal_weights(nbar, dim):
+    """The descending weights of a thermal state on ``dim`` levels, with no
+    tail check: nbar = 0 gives the vacuum's (1, 0, ..., 0)."""
+    p = nbar / (1.0 + nbar)
+    weights = (1.0 - p) * p ** np.arange(dim)
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 140, 600, 2000])
+@pytest.mark.parametrize("nbar", [0.0, 1e-3, 0.5, 3.0])
+def test_fock_diagonal_best_quadrature_matches_dense_rotation(nbar, dim):
+    # The O(d) band sums of a spectrum on the Fock basis against the rotation
+    # V^+ (a V) with V = I and the d^2 pair weights of the same spectrum.
+    lam = thermal_weights(nbar, dim)
+    if nbar > 0.0 and (nbar / (1.0 + nbar)) ** dim < quantum.TAIL_THRESHOLD:
+        built = quantum.build_state("thermal", dim, nbar=nbar).spectrum
+        assert built.eigenvectors is None
+        assert np.array_equal(built.eigenvalues, lam)
+    purity = float(lam @ lam)
+    diagonal = quantum.Density(purity, None, quantum.Spectrum(lam, None))
+    theta, result = fisher._max_quadrature(diagonal)
+    dense_theta, dense = fisher._max_quadrature(
+        quantum.Density(purity, None, quantum.Spectrum(lam, np.eye(dim)))
+    )
+    assert result.method == dense.method == "spectral"
+    assert result.value == pytest.approx(dense.value, rel=1e-12, abs=0.0)
+    for key in ("eigengap", "discarded_overlap_mass"):
+        assert result.diagnostics[key] == pytest.approx(
+            dense.diagnostics[key], rel=0.0, abs=1e-12 * dense.value
+        )
+    for key in ("discarded_pairs", "isotropic", "pair_threshold", "purity"):
+        assert result.diagnostics[key] == dense.diagnostics[key]
+    assert theta == dense_theta == 0.0
+    if nbar <= 0.5 and dim >= 140:
+        # Pairs drop at these dims; at nbar = 0 every pair of empty levels does.
+        assert result.diagnostics["discarded_pairs"] > 0
+    if nbar == 0.0:
+        assert result.diagnostics["discarded_pairs"] == (dim - 1) ** 2
+        assert result.value == 2.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dropped_pair_count_matches_dense_count_at_the_threshold(seed):
+    # Pairs whose sums land within a few ulps of the threshold, where the
+    # unrounded comparison l_j <= threshold - l_i misjudges some rows, and
+    # repeated eigenvalues.
+    rng = np.random.default_rng(seed)
+    threshold = float(rng.uniform(0.1, 2.0))
+    for dim in (2, 7, 30, 60):
+        base = rng.uniform(0.0, threshold, dim)
+        partner = np.abs(threshold - base + rng.integers(-3, 4, dim) * np.spacing(threshold))
+        lam = np.sort(np.concatenate([base, partner, base[: dim // 3]]))[::-1].copy()
+        dense = int(np.count_nonzero(~(lam[:, None] + lam[None, :] > threshold)))
+        assert fisher._count_dropped_pairs(lam, threshold) == dense
+
+
+@pytest.mark.parametrize(
+    "kind,params", [("thermal", {"nbar": 3.0}), ("squeezed", {"r": 0.9}), ("cat", {"alpha": 2.2})]
+)
+def test_built_state_best_quadrature_allocates_no_dense_matrix(kind, params):
+    # One complex 2000 x 2000 array is 64 MB; a built state and its best
+    # quadrature hold a few vectors of 2000 entries.
+    tracemalloc.start()
+    try:
+        fisher._max_quadrature(quantum.build_state(kind, 2000, **params))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7, 30, 120, 200])

@@ -297,6 +297,16 @@ def _old_make_state(kind, dim, **params):
     return np.outer(psi, psi.conj())
 
 
+# kind -> its public constructor, called as make_state is
+CONSTRUCTORS = {
+    "vacuum": lambda dim: quantum.vacuum_state(dim),
+    "number": lambda dim, n: quantum.number_state(n, dim),
+    "coherent": lambda dim, alpha: quantum.coherent_state(alpha, dim),
+    "cat": lambda dim, alpha: quantum.cat_state(alpha, dim),
+    "thermal": lambda dim, nbar: quantum.thermal_state(nbar, dim),
+    "squeezed": lambda dim, r: quantum.squeezed_state(r, dim),
+}
+
 BUILT_STATES = [
     ("vacuum", {}),
     ("number", {"n": 13}),
@@ -315,13 +325,16 @@ def test_built_states_are_decomposed_and_keep_their_bytes(kind, params, dim):
     rho = quantum.make_state(kind, dim, **params)
     assert np.array_equal(rho.view(np.int64), _old_make_state(kind, dim, **params).view(np.int64))
     assert np.array_equal(state.rho.view(np.int64), rho.view(np.int64))
-    assert state.purity == quantum.purity(rho)
+    assert np.array_equal(CONSTRUCTORS[kind](dim, **params).view(np.int64), rho.view(np.int64))
+    # A built state carries no rho: its purity is ||psi||^4 or sum l^2.
+    assert state.matrix is None
+    assert state.purity == pytest.approx(quantum.purity(rho), rel=0.0, abs=1e-12)
     if kind == "thermal":
         assert state.psi is None
         lam, vec = state.spectrum
         assert np.all(np.diff(lam) <= 0.0)
         assert np.array_equal(lam, np.real(np.diagonal(rho)))
-        assert np.array_equal(vec, np.eye(dim))
+        assert vec is None
     else:
         assert state.spectrum is None
         assert np.linalg.norm(state.psi) == pytest.approx(1.0, abs=1e-15)

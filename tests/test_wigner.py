@@ -971,7 +971,8 @@ def test_wide_grid_kernels_stay_finite():
 def test_grid_outside_support_gives_zeros():
     # Every x lies beyond the cut radius of dim 40 (and of dim 200), so no
     # (x - y, x + y) pair falls on the q-grid: empty boxes, zeros and a "zero
-    # state", not an empty-index failure.
+    # state", not an empty-index failure.  Auto-dim builds the dim-40 chain
+    # alone: no larger chain has pairs either.
     p_axis = (-4.0, 4.0, 33)
     rho = random_density(np.random.default_rng(1), 40)
     for x_axis in ((30.0, 40.0, 33), (40.0, 48.0, 33)):
@@ -985,6 +986,18 @@ def test_grid_outside_support_gives_zeros():
         for dim in (40, None):
             with pytest.raises(ReconstructionError, match="zero state"):
                 reconstruct(grid, dim)
+        assert list(wigner._STORE.chains) == [40]
+
+
+def test_grid_outside_dim_40_support_climbs_the_ladder():
+    # x on [16, 25] lies beyond the dim-40 cut radius 15 but inside the
+    # dim-61 one: auto-dim steps past the empty dim-40 chain.
+    grid = WignerGrid(16.0, 25.0, 33, -4.0, 4.0, 33, np.ones((33, 33)))
+    with pytest.raises(ReconstructionError, match="unfaithful"):
+        reconstruct(grid)
+    chains = wigner._STORE.chains
+    assert chains[40].rows.shape == (40, 0)
+    assert chains[61].rows.shape[1] > 0
 
 
 @given(
