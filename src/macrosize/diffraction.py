@@ -152,9 +152,12 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     if span <= 0:
         raise DomainError("scan positions are degenerate")
 
-    # Spectral seed.  Scans are expected on a near-uniform grid; fall back
-    # to a dense k-scan otherwise.
+    # Spectral seed.  Scans are expected on a near-uniform grid; fall back to a
+    # dense k-scan up to pi / (smallest positive step, as positions may repeat).
     steps = np.diff(np.sort(s))
+    k_max = math.pi / float(steps[steps > 0].min())
+    if not math.isfinite(2.0 * k_max):
+        raise DomainError("scan positions are closer than a float wavenumber resolves")
     uniform = steps.max() - steps.min() <= 1e-6 * steps.mean()
     if uniform:
         order = np.argsort(s)
@@ -163,7 +166,7 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         peak = int(np.argmax(spectrum[1:])) + 1
         k_seed = float(freqs[peak])
     else:
-        candidates = np.linspace(2.0 * math.pi / span, math.pi / steps.min(), 512)
+        candidates = np.linspace(2.0 * math.pi / span, k_max, 512)
         rms = [_linear_fit_at_k(s, n, k)[1] for k in candidates]
         k_seed = float(candidates[int(np.argmin(rms))])
     if k_seed <= 0:

@@ -15,26 +15,28 @@ the QFI matrix of several generators,
 or F_ab = 4 Re<B_a psi|B_b psi> with centred B_a = A_a - <A_a> for a pure
 state psi, with the QFI of one generator its 1x1 case (Liu et al., J.
 Phys. A 53, 023001 (2020)).  Variances are likewise ||B psi||^2 or
-tr(rho B^2): the two-moment form tr(rho A^2) - <A>^2 cancels near an
-eigenstate of A, while the centred form keeps full relative accuracy.
+sum_k l_k ||B v_k||^2: the two-moment form tr(rho A^2) - <A>^2 cancels
+near an eigenstate of A, while the centred form keeps full relative
+accuracy.
 The QFI of a quadrature cos(theta) x + sin(theta) p is the quadratic
 form of the 2x2 matrix of (x, p), so its maximum over theta is the
 matrix's top eigenvalue (Paris, Int. J. Quantum Inf. 7, 125 (2009)).
 When the two eigenvalues agree to ``ISOTROPY_FACTOR`` the state is
 isotropic and the maximizing angle is 0 by convention.
 
-``qfi``, ``variance`` and ``qfi_max_quadrature`` check a state once, where
-it enters, with ``quantum.density``, the package's one check of a density
-matrix.  It gives either a certified pure vector psi, and then the QFI
-matrix costs one matrix-vector product per generator and no eigensolver,
-or the one ``quantum.eigh`` spectrum the QFI reads.  Their private cores
-``_qfi``, ``_state_variance`` and ``_max_quadrature`` take a
-``quantum.Density`` that is already checked.  Two kinds of state arrive
-already decomposed and go straight to ``_max_quadrature``: a Fock state from
-``quantum.build_state`` (a pure psi, or a thermal state's weights on the
-Fock basis, eigenvectors ``None``, and no dense rho), which ``macrosize
-measure`` uses, and a reconstruction from a Wigner grid, whose clipped
-spectrum ``wigner.qfi_from_grid`` hands over.
+``qfi``, ``variance`` and ``qfi_max_quadrature`` check a state and its
+operators once, where they enter; the state with ``quantum.density``, the
+package's one check of a density matrix, which gives a certified pure psi
+(no eigensolver) or the one spectrum the QFI reads.  The private cores
+``_qfi``, ``_state_variance`` and ``_max_quadrature`` check nothing: they
+read a ``quantum.Density`` only through psi or its l and V, and an operator
+(a matrix, or a ``measures.PartitionedObservable``'s 1-D diagonal) only
+through its action ``_apply``; a spectrum's QFI is 2 S0 of the rotation
+below and its variance reads the same image A V.  Two kinds of state arrive
+decomposed and go straight to ``_max_quadrature``: a Fock state from
+``quantum.build_state`` (psi, or a thermal state's weights on the Fock
+basis, eigenvectors ``None``), which ``macrosize measure`` uses, and a
+Wigner-grid reconstruction from ``wigner.qfi_from_grid``.
 
 ``_max_quadrature`` takes the quadrature pair as one operator
 A = (x + ip) / sqrt2, so x = (A + A^+) / sqrt2 and p = (A - A^+) / (i sqrt2)
@@ -102,23 +104,28 @@ def _checked_operator(shape: tuple, operator: np.ndarray, name: str = "observabl
 
 def variance(rho: np.ndarray, operator: np.ndarray) -> float:
     """Var(rho, A) = <B^2> with centred B = A - <A>."""
-    state = quantum.density(rho)
-    return _state_variance(state, _checked_operator(state.rho.shape, operator))
+    return _state_variance(quantum.density(rho), _checked_operator(np.shape(rho), operator))
+
+
+def _apply(operator: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for a vector or matrix ``v``: A a matrix, or a 1-D diagonal applied elementwise."""
+    if operator.ndim == 1:
+        return operator.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+    return operator @ v
 
 
 def _state_variance(state: quantum.Density, operator: np.ndarray) -> float:
-    """``variance`` of a checked state: ||B psi||^2 if certified pure, else tr(rho B^2)."""
+    """``variance`` of a checked state and an operator of its shape:
+    ||B psi||^2 if certified pure, else sum_k l_k ||B v_k||^2 from one image A V."""
     if state.psi is not None:
-        centered = _centered(state.psi, operator @ state.psi)
+        psi = state.psi
+        centered = _apply(operator, psi)
+        centered -= float(np.real(np.vdot(psi, centered))) * psi
         return float(np.real(np.vdot(centered, centered)))
-    rho = state.rho
-    centered = operator - quantum.expectation(rho, operator) * np.eye(operator.shape[0])
-    return quantum.expectation(rho @ centered, centered)  # tr(rho B B)
-
-
-def _centered(psi: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """B psi = A psi - <A> psi of a unit vector psi, from its ``image`` A psi."""
-    return image - float(np.real(np.vdot(psi, image))) * psi
+    lam, vec = state.spectrum
+    centered = _apply(operator, vec)
+    centered -= float(lam @ np.real(np.einsum("ij,ij->j", vec.conj(), centered))) * vec
+    return float(lam @ np.real(np.einsum("ij,ij->j", centered.conj(), centered)))
 
 
 def _pair_weights(state: quantum.Density):
@@ -173,23 +180,18 @@ def _count_dropped_pairs(lam: np.ndarray, threshold: float) -> int:
 
 def qfi(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
     """Quantum Fisher information of ``rho`` with respect to ``operator``."""
-    return _qfi(quantum.density(rho), operator)
+    return _qfi(quantum.density(rho), _checked_operator(np.shape(rho), operator))
 
 
 def _qfi(state: quantum.Density, operator: np.ndarray) -> FisherResult:
-    """``qfi`` of a checked state: 4 ||B psi||^2 if certified pure, else
-    2 sum w |<i|A|j>|^2 over the pair weights w of its spectrum."""
-    operator = _checked_operator(state.rho.shape, operator)
+    """``qfi`` of a checked state: 4 Var if certified pure, else 2 S0 = 2 sum w |<i|A|j>|^2
+    over its spectrum's pair weights w, and the dropped pairs' S0 as discarded mass."""
     if state.psi is not None:
-        centered = _centered(state.psi, operator @ state.psi)
-        value = 4.0 * float(np.real(np.vdot(centered, centered)))
-        return FisherResult(max(value, 0.0), "pure-variance", {"purity": state.purity})
-    weights, dropped, diagnostics = _pair_weights(state)
-    vec = state.spectrum.eigenvectors
-    overlap = np.abs(vec.conj().T @ operator @ vec) ** 2
-    value = 2.0 * float(np.sum(weights * overlap))
-    diagnostics["discarded_overlap_mass"] = float(np.sum(overlap[dropped]))
-    return FisherResult(max(value, 0.0), "spectral", diagnostics)
+        value = 4.0 * _state_variance(state, operator)  # a sum of squares
+        return FisherResult(value, "pure-variance", {"purity": state.purity})
+    (s0, _s1), (d0, _d1), diagnostics = _rotated_sums(state, lambda v: _apply(operator, v))
+    diagnostics["discarded_overlap_mass"] = d0
+    return FisherResult(max(2.0 * s0, 0.0), "spectral", diagnostics)
 
 
 def sub_qfi_f2(rho: np.ndarray, operator: np.ndarray) -> FisherResult:
@@ -244,8 +246,8 @@ def qfi_max_quadrature(rho: np.ndarray, x_op: np.ndarray, p_op: np.ndarray):
     ``eigengap`` and ``isotropic``.
     """
     state = quantum.density(rho)
-    x_op = _checked_operator(state.rho.shape, x_op, "x quadrature")
-    p_op = _checked_operator(state.rho.shape, p_op, "p quadrature")
+    x_op = _checked_operator(np.shape(rho), x_op, "x quadrature")
+    p_op = _checked_operator(np.shape(rho), p_op, "p quadrature")
     a_op = (x_op + 1j * p_op) / SQRT2
     # A^+ v = (v^+ A)^+, with no conjugate copy of A.
     pair = (lambda v: a_op @ v, lambda v: (v.conj().T @ a_op).conj().T)
@@ -263,6 +265,18 @@ def _pair_sums(a_hat: np.ndarray, weights: np.ndarray):
     return float(np.real(np.vdot(a_hat, weighted))), s1
 
 
+def _rotated_sums(state: quantum.Density, action):
+    """The ``_pair_sums`` of A_hat = V^+ (A V), A v = ``action(v)``, over the kept and
+    the dropped pairs of a spectrum: ``((S0, S1), (D0, D1), diagnostics)``."""
+    # Rotate first: with the weights formed first, the frees of a spectral
+    # job leave glibc's heap top above its trim threshold, and the next
+    # job faults the trimmed pages back in.
+    vec = state.spectrum.eigenvectors
+    a_hat = vec.conj().T @ action(vec)
+    weights, dropped, diagnostics = _pair_weights(state)
+    return _pair_sums(a_hat, weights), _pair_sums(a_hat, dropped), diagnostics
+
+
 def _max_quadrature(state: quantum.Density, pair=LADDER):
     """``qfi_max_quadrature`` of a checked state, with its quadrature pair given
     as the action ``(v -> A v, v -> A^+ v)`` of one operator A = (x + ip) / sqrt2,
@@ -272,13 +286,12 @@ def _max_quadrature(state: quantum.Density, pair=LADDER):
     so its top eigenvalue is 2 (S0 + |S1|), its eigengap 4 |S1| and its
     angle arg(S1) / 2.  A pure state takes a = A psi - <A> psi and
     b = A^+ psi - <A^+> psi: S0 = ||a||^2 + ||b||^2 and S1 = 2 <b|a>.  A
-    spectrum takes one rotation A_hat = V^+ (A V) and the ``_pair_sums`` of
-    A_hat over the pair weights; the same sums D0, D1 over the dropped pairs
-    give the discarded mass D0 + Re(e^{-2i theta} D1) along theta.  A
-    spectrum on the Fock basis (eigenvectors ``None``) has A_hat = a, one
-    band A_{n,n+1} = sqrt(n + 1) (the ladder is the only pair it is given),
-    so S1 = D1 = 0, and S0 and D0 sum w_{n,n+1} (n + 1) and n + 1 over the
-    kept and the dropped pairs of that band, in O(d).
+    spectrum takes the ``_rotated_sums`` of A, whose D0, D1 give the discarded
+    mass D0 + Re(e^{-2i theta} D1) along theta.  A spectrum on the Fock basis
+    (eigenvectors ``None``) has A_hat = a, one band A_{n,n+1} = sqrt(n + 1)
+    (the ladder is the only pair it is given), so S1 = D1 = 0, and S0 and D0
+    sum w_{n,n+1} (n + 1) and n + 1 over the kept and the dropped pairs of
+    that band, in O(d).
     """
     annihilate, create = pair
     if state.psi is not None:
@@ -304,14 +317,8 @@ def _max_quadrature(state: quantum.Density, pair=LADDER):
         )
         method, discarded = "spectral", (float(np.sum(rungs[~keep])), 0j)
     else:
-        # Rotate first: with the weights formed first, the frees of a spectral
-        # job leave glibc's heap top above its trim threshold, and the next
-        # job faults the trimmed pages back in.
-        vec = state.spectrum.eigenvectors
-        a_hat = vec.conj().T @ annihilate(vec)
-        weights, dropped, diagnostics = _pair_weights(state)
-        s0, s1 = _pair_sums(a_hat, weights)
-        method, discarded = "spectral", _pair_sums(a_hat, dropped)
+        (s0, s1), discarded, diagnostics = _rotated_sums(state, annihilate)
+        method = "spectral"
     eigengap = 4.0 * abs(s1)
     top = 2.0 * (s0 + abs(s1))
     isotropic = bool(eigengap <= ISOTROPY_FACTOR * top)

@@ -137,34 +137,25 @@ class SizeReport:
 def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
     """QFI of the total and the local variances, from one check of the state.
 
-    ``state`` is a density matrix or, if 1-D, a pure state vector.  A vector
-    is checked here; a density matrix is checked and decomposed once by
-    ``quantum.density``, and the locals share the total's shape, so their
-    variances need no second check.  A density matrix certified pure gives
-    its variances from the same vector psi, as ||B psi||^2.
-    A vector with diagonal locals needs only its populations p = |psi|^2:
-    Var(a) = sum p (a - <a>)^2, and the QFI of a pure state is 4 Var(total).
-    Any other pair takes the dense path, with a vector expanded to
-    |psi><psi| and diagonals to matrices.
+    ``state`` is a density matrix or, if 1-D, a pure state vector of the
+    observable's dimension.  A vector with diagonal locals needs only its
+    populations p = |psi|^2: Var(a) = sum p (a - <a>)^2 and QFI 4 Var(total).
+    Any other state (a vector as |psi><psi|) takes one ``quantum.density``,
+    and ``fisher``'s cores take the total and locals as ``from_locals`` checked them.
     """
     state = np.asarray(state)
+    if state.shape[:1] != observable.total.shape[:1]:
+        raise DomainError(
+            f"dimension mismatch: state {state.shape} vs observable {observable.total.shape}"
+        )
     if state.ndim == 1:
         populations = quantum.populations(state)
-        if state.shape[0] != observable.total.shape[0]:
-            raise DomainError(
-                f"dimension mismatch: state {state.shape} vs observable "
-                f"{observable.total.shape}"
-            )
         if observable.diagonal:
             return _diagonal_qfi_and_variances(populations, observable)
         state = np.outer(state, state.conj())
-    total, locals_ = observable.total, observable.locals_
-    if observable.diagonal:
-        total = np.diag(total).astype(complex)
-        locals_ = [np.diag(a).astype(complex) for a in locals_]
     density = quantum.density(state)
-    total_qfi = fisher._qfi(density, total).value
-    return total_qfi, [fisher._state_variance(density, a) for a in locals_]
+    total_qfi = fisher._qfi(density, observable.total).value
+    return total_qfi, [fisher._state_variance(density, a) for a in observable.locals_]
 
 
 def _diagonal_qfi_and_variances(p: np.ndarray, observable: PartitionedObservable):

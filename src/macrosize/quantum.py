@@ -115,29 +115,22 @@ class Density(NamedTuple):
 
     The spectrum is that of :func:`eigh`, or of a state decomposed by
     construction: descending eigenvalues and orthonormal eigenvectors, or
-    ``None`` for a state diagonal in the Fock basis.  ``matrix`` is the
-    state's dense rho where it has one: the checked array of
-    :func:`density`, or a reconstruction's.  A state built by
-    :func:`build_state` has none, and :attr:`rho` forms it on request.
+    ``None`` for a state diagonal in the Fock basis.  It holds no dense
+    matrix: :attr:`rho` forms one from the decomposition on request.
     """
 
     purity: float
     psi: np.ndarray | None
     spectrum: Spectrum | None
-    matrix: np.ndarray | None = None
 
     @property
     def rho(self) -> np.ndarray:
-        """The dense rho: ``matrix``, else psi psi^+, else V diag(l) V^+."""
-        if self.matrix is not None:
-            return self.matrix
+        """The dense rho: psi psi^+, else V diag(l) V^+."""
         if self.psi is not None:
             return np.outer(self.psi, self.psi.conj())
         weights, vectors = self.spectrum
         if vectors is None:
-            rho = np.zeros((weights.size, weights.size), dtype=complex)
-            np.fill_diagonal(rho, weights)
-            return rho
+            return np.diag(weights.astype(complex))
         return (vectors * weights) @ vectors.conj().T
 
 
@@ -149,7 +142,7 @@ def density(rho: np.ndarray, name: str = "rho") -> Density:
     pure when sqrt(2) ||rho - psi psi^+||_F <= -EIG_FLOOR: LAPACK reads only
     the lower triangle, whose Hermitian matrix then lies within -EIG_FLOOR
     of psi psi^+ in spectral norm, so by Weyl's inequality its eigenvalues
-    clear EIG_FLOOR.  Any other state takes one :func:`eigh`, held to that floor.
+    clear EIG_FLOOR.  Any other state takes one unchecked eigh, held to that floor.
     """
     rho = require_hermitian(rho, name)
     trace = float(np.real(np.trace(rho)))
@@ -162,17 +155,19 @@ def density(rho: np.ndarray, name: str = "rho") -> Density:
         defect = np.outer(psi, -psi.conj())
         defect += rho
         if math.sqrt(2.0) * np.linalg.norm(defect) <= -EIG_FLOOR:
-            return Density(pur, psi, None, rho)
-    spectrum = eigh(rho)
+            return Density(pur, psi, None)
+    spectrum = _eigh(rho)
     min_eig = float(spectrum.eigenvalues[-1])
     if min_eig < EIG_FLOOR:
         raise DomainError(f"{name} has negative eigenvalue {min_eig:.3e}")
-    return Density(pur, None, spectrum, rho)
+    return Density(pur, None, spectrum)
 
 
 def validate_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """The array of a state that passes :func:`density`."""
-    return density(rho, name).rho
+    """``rho`` as the complex array that :func:`density` checks, if it passes."""
+    rho = np.asarray(rho, dtype=complex)
+    density(rho, name)
+    return rho
 
 
 def populations(psi: np.ndarray) -> np.ndarray:
@@ -211,7 +206,11 @@ def eigh(matrix: np.ndarray) -> Spectrum:
     solver is backward stable, so the decomposition reproduces the input to
     a rounding-level residual and is not rebuilt to check it.
     """
-    matrix = require_hermitian(matrix, "eigh input")
+    return _eigh(require_hermitian(matrix, "eigh input"))
+
+
+def _eigh(matrix: np.ndarray) -> Spectrum:
+    """:func:`eigh` of a complex array already checked Hermitian."""
     try:
         values, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails

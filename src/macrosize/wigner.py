@@ -504,15 +504,14 @@ def synth_grid(
 
 @dataclass(frozen=True)
 class ReconstructionReport:
+    """The clipped ``state`` the QFI reads, and the symmetrised ``rho`` re-synthesized."""
+
     state: quantum.Density
     dim: int
     clipped_mass: float
     residual: float
     diagonal_tail: float
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.state.rho
+    rho: np.ndarray
 
 
 def _overlap_reconstruct(grid: WignerGrid, chain: _Chain) -> np.ndarray:
@@ -584,8 +583,8 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
     scale = float(np.linalg.norm(grid.values))
     residual = float(np.linalg.norm(resynth - grid.values)) / max(scale, 1e-300)
     spectrum = quantum.Spectrum(clipped, vectors)
-    state = quantum.Density(float(clipped @ clipped), None, spectrum, rho)
-    report = ReconstructionReport(state, dim, clipped_mass, residual, tail)
+    state = quantum.Density(float(clipped @ clipped), None, spectrum)
+    report = ReconstructionReport(state, dim, clipped_mass, residual, tail, rho)
     if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise ReconstructionError(
             f"unfaithful reconstruction: residual {residual:.4f} > {RESIDUAL_LIMIT}",
@@ -610,8 +609,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2; <psi|sigma|psi> if rho is pure."""
     state = quantum.density(rho)
     sigma = quantum.validate_density(sigma, "sigma")
-    if sigma.shape != state.rho.shape:
-        raise DomainError(f"dimension mismatch: rho {state.rho.shape} vs sigma {sigma.shape}")
+    if sigma.shape != np.shape(rho):
+        raise DomainError(f"dimension mismatch: rho {np.shape(rho)} vs sigma {sigma.shape}")
     if state.psi is not None:
         return float(np.real(np.vdot(state.psi, sigma @ state.psi)))
     lam, vec = state.spectrum

@@ -368,6 +368,27 @@ def test_diffraction_rejects_wrong_unit(tmp_path, capsys):
     assert "whitelist" in err
 
 
+def test_diffraction_fits_a_scan_written_twice(tmp_path, capfd):
+    # A repeated position is a zero step; the fit seeds past it, and LAPACK,
+    # which writes to the process's stdout, is never handed a bad argument.
+    cfg = write_json(
+        tmp_path / "fein.json", {k: v for k, v in FEIN_CONFIG.items() if k != "visibility"}
+    )
+    k = 2 * math.pi / 266e-9
+    s = np.linspace(0.0, 4 * 266e-9, 40, endpoint=False)
+    rows = [f"{x!r} {140 * (1 + 0.3 * math.sin(k * x + 0.3))!r}" for x in s.tolist()]
+    visibilities = []
+    for passes in (1, 2):
+        path = tmp_path / f"scan{passes}.txt"
+        path.write_text("\n".join(["fringe-scan v1", *rows * passes]) + "\n", encoding="utf-8")
+        code = main(["--format", "json", "diffraction", cfg, str(path)])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        assert "DLASCL" not in out and "illegal value" not in out
+        visibilities.append(json.loads(out)["values"]["visibility"])
+    assert visibilities[1] == pytest.approx(visibilities[0], abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # oscillator geometry
 # ---------------------------------------------------------------------------

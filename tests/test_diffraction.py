@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import tempfile
 import warnings
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from macrosize import diffraction, fisher, quantum
+from macrosize import cli, diffraction, fisher, quantum
 from macrosize.diffraction import (
     FringeScan,
     TalbotLauSetup,
@@ -177,6 +180,84 @@ def test_load_fringe_scan_fuzz(content):
         except DomainError:
             return
     assert isinstance(scan, FringeScan)
+
+
+def _two_pass_scan(v=0.3, wavelength=266e-9):
+    """A 40-point scan over 4 periods, and the same scan written twice."""
+    k = 2 * math.pi / wavelength
+    s = np.linspace(0.0, 4 * wavelength, 40, endpoint=False)
+    counts = 140.0 * (1.0 + v * np.sin(k * s + 0.3))
+    return (s, counts), (np.concatenate([s, s]), np.concatenate([counts, counts]))
+
+
+def test_fit_survives_repeated_positions():
+    # A repeated position makes a zero step, which must not become the
+    # Nyquist wavenumber pi / 0 of the non-uniform k-scan.
+    one_pass, two_pass = _two_pass_scan()
+    expected = fit_fringe(FringeScan.from_raw(*one_pass)).visibility
+    assert fit_fringe(FringeScan.from_raw(*two_pass)).visibility == pytest.approx(
+        expected, abs=1e-9
+    )
+    s, counts = one_pass
+    once_repeated = FringeScan.from_raw(np.insert(s, 7, s[7]), np.insert(counts, 7, counts[7]))
+    assert fit_fringe(once_repeated).visibility == pytest.approx(expected, abs=1e-6)
+    with pytest.raises(DomainError, match="degenerate"):
+        fit_fringe(FringeScan.from_raw(np.full(12, 1e-7), np.linspace(1.0, 2.0, 12)))
+    # Two positions a subnormal step apart: pi / step overflows.
+    close = np.array([2.3e-308, 2.3e-308 + 1e-309, 1e-7, 2e-7, 3e-7, 3e-7, 5e-7, 2.3e-308])
+    with pytest.raises(DomainError, match="closer than a float wavenumber resolves"):
+        fit_fringe(FringeScan.from_raw(close, np.tile([1.0, 2.0], 4)))
+
+
+def _fringe_pairs():
+    """8-40 (position, count > 0) pairs with positions from a pool of at most
+    six, so repeated and unsorted positions are the rule."""
+    pool = st.lists(
+        st.floats(min_value=-2e-6, max_value=2e-6, allow_subnormal=False),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    )
+    count = st.floats(min_value=1e-3, max_value=1e3)
+    return pool.flatmap(
+        lambda positions: st.lists(
+            st.tuples(st.sampled_from(positions), count), min_size=8, max_size=40
+        )
+    )
+
+
+SCAN_CONFIG = {
+    "mass": "4.4465e-23 kg",
+    "n_atoms": 2000,
+    "grating_period": "266e-9 m",
+    "open_fraction": 0.43,
+    "flight_time": "3.846e-3 s",
+    "source_g1": "0.2 m",
+    "g1_g2": "1 m",
+}
+
+
+@given(_fringe_pairs())
+@settings(max_examples=60, deadline=None)
+def test_fit_fringe_fuzz(pairs):
+    # Every loadable scan fits or raises a typed error, in the library and
+    # through the CLI, which maps the error to exit 3.
+    s, counts = np.array(pairs).T
+    try:
+        fit_fringe(FringeScan.from_raw(s, counts))
+    except (DomainError, diffraction.FitError):
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "setup.json"
+        config.write_text(json.dumps(SCAN_CONFIG), encoding="utf-8")
+        scan = Path(tmp) / "scan.txt"
+        rows = [f"{position!r} {count!r}" for position, count in pairs]
+        scan.write_text("\n".join(["fringe-scan v1", *rows]) + "\n", encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["diffraction", str(config), str(scan)])
+    assert code in (0, 3)
+    assert code == 0 or stderr.getvalue().startswith("error: ")
 
 
 def test_scan_rejects_non_finite_positions():

@@ -287,6 +287,38 @@ def test_qfi_matches_dense_reference(dim):
             assert fisher.variance(rho, op) == pytest.approx(variance, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("dim", [2, 5, 12])
+def test_state_variance_and_qfi_read_the_decomposition_at_every_rank(dim):
+    # Sum_k l_k ||B v_k||^2 from one image A V, for a matrix or a 1-D diagonal,
+    # is the dense tr(rho B^2); the QFI of a diagonal is that of its matrix.
+    rng = np.random.default_rng(40 + dim)
+    dense, diagonal = random_hermitian(rng, dim), rng.standard_normal(dim)
+    for rank in range(1, dim + 1):
+        rho = random_density(rng, dim, rank)
+        state = quantum.density(rho)
+        assert (state.psi is not None) == (rank == 1)
+        for op in (dense, diagonal):
+            matrix = op if op.ndim == 2 else np.diag(op).astype(complex)
+            centred = matrix - np.real(np.trace(rho @ matrix)) * np.eye(dim)
+            expected = np.real(np.trace(rho @ centred @ centred))
+            value = fisher._state_variance(state, op)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (rank, op.ndim)
+        qfi_of_diagonal = fisher._qfi(state, diagonal).value
+        qfi_of_matrix = fisher._qfi(state, np.diag(diagonal).astype(complex)).value
+        assert qfi_of_diagonal == pytest.approx(qfi_of_matrix, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 300])
+def test_diagonal_action_is_the_diagonal_matrix_product(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal(dim)
+    matrix = np.diag(a).astype(complex)
+    vector = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    columns = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+    for v in (vector, columns):
+        assert fisher._apply(a, v).tobytes() == (matrix @ v).tobytes()
+
+
 def _near_pure_negative_state(dim=5):
     """Unit trace and purity 1 to rounding, with eigenvalues (0.9, s, 0.1 - s, 0, ...).
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,23 @@ def test_state_vector_is_checked_at_the_boundary():
 def test_from_locals_rejects_bad_diagonal(diagonal):
     with pytest.raises(DomainError, match="diagonal local observable must be real and finite"):
         measures.PartitionedObservable.from_locals([np.array([1.0, -1.0]), diagonal])
+
+
+@pytest.mark.parametrize("n,mixed,arrays", [(11, False, 2), (10, True, 6)])
+def test_size_report_peak_memory_in_dense_arrays(n, mixed, arrays):
+    # Diagonal locals act elementwise on psi or on the eigenvectors, so a GHZ
+    # report holds no d x d array per local: at most ``arrays`` of them.
+    rho, obs = quantum.ghz_state(n, 0.3, 0.7)
+    dim = rho.shape[0]
+    if mixed:
+        rho = quantum.mix(0.9, rho, np.eye(dim) / dim)
+    tracemalloc.start()
+    try:
+        measures.size_report_for_state(rho, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 16 * dim * dim
 
 
 def test_state_vector_with_dense_locals_matches_density_matrix(rng):

@@ -7,7 +7,7 @@ from macrosize import quantum
 from macrosize.errors import DomainError, TruncationError
 from macrosize.fisher import variance
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 
 def test_eigh_pauli_z():
@@ -20,6 +20,24 @@ def test_eigh_position_two_level():
     _a, x, _p = quantum.fock_operators(2, nu=0.5)
     spec = quantum.eigh(x)
     assert np.allclose(spec.eigenvalues, [1.0 / math.sqrt(2), -1.0 / math.sqrt(2)])
+
+
+def test_mixed_density_checks_hermiticity_once(monkeypatch):
+    # density decomposes the array it checked, not through the checked eigh.
+    calls = []
+    check = quantum.require_hermitian
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return check(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "require_hermitian", counting)
+    rho = random_density(np.random.default_rng(5), 6)
+    state = quantum.density(rho)
+    assert state.psi is None and state.spectrum is not None
+    assert len(calls) == 1
+    quantum.eigh(rho)  # the public solver still checks its input
+    assert len(calls) == 2
 
 
 def _reconstruct(spec):
@@ -327,7 +345,7 @@ def test_built_states_are_decomposed_and_keep_their_bytes(kind, params, dim):
     assert np.array_equal(state.rho.view(np.int64), rho.view(np.int64))
     assert np.array_equal(CONSTRUCTORS[kind](dim, **params).view(np.int64), rho.view(np.int64))
     # A built state carries no rho: its purity is ||psi||^4 or sum l^2.
-    assert state.matrix is None
+    assert state._fields == ("purity", "psi", "spectrum")
     assert state.purity == pytest.approx(quantum.purity(rho), rel=0.0, abs=1e-12)
     if kind == "thermal":
         assert state.psi is None
