@@ -181,8 +181,17 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     for _ in range(200):
         c, a, b = coeff
         resid = n - c - a * np.sin(k * s) - b * np.cos(k * s)
-        jac = a * s * np.cos(k * s) - b * s * np.sin(k * s)
-        denom = float(jac @ jac)
+        # The k-derivative carries s, and its square sum overflows once
+        # positions pass about 1e154; such a scan has no Gauss-Newton step.
+        with np.errstate(over="raise"):
+            try:
+                jac = a * s * np.cos(k * s) - b * s * np.sin(k * s)
+                denom = float(jac @ jac)
+            except FloatingPointError:
+                raise DomainError(
+                    f"scan positions reach {float(np.max(np.abs(s))):.3g}: "
+                    "too large for the fringe fit"
+                ) from None
         if denom == 0.0:
             break
         step = float(jac @ resid) / denom

@@ -71,8 +71,10 @@ class PartitionedObservable:
     either a square Hermitian matrix or a 1-D real, finite array: the
     diagonal of an observable that is diagonal in the computational basis.
     All locals share one shape, so a partition is wholly dense or wholly
-    diagonal, and ``total`` is their sum.  Functions that take a partition
-    rely on these invariants and do not check them again.
+    diagonal, and ``total`` is their sum.  Diagonal locals live in one
+    C-contiguous (n, d) float block, and ``locals_`` holds its row views.
+    Functions that take a partition rely on these invariants and do not
+    check them again.
     """
 
     total: np.ndarray
@@ -80,19 +82,37 @@ class PartitionedObservable:
     partition_label: str = ""
 
     @classmethod
-    def from_locals(cls, locals_: Sequence[np.ndarray], label: str = ""):
-        locals_ = tuple(_checked_local(a) for a in locals_)
+    def from_locals(cls, locals_: Sequence[np.ndarray] | np.ndarray, label: str = ""):
+        """Check a partition; a 2-D array is a block of diagonal locals, one per row.
+
+        1-D locals given as a sequence are stacked into such a block, which
+        is checked once and used as given when it is already C-contiguous
+        and float.
+        """
+        if isinstance(locals_, np.ndarray) and locals_.ndim == 2:
+            return cls._from_block(locals_, label)
+        locals_ = [np.asarray(a) for a in locals_]
+        shapes = sorted({a.shape for a in locals_})
+        if len(shapes) == 1 and len(shapes[0]) == 1:
+            return cls._from_block(np.stack(locals_), label)
+        # Dense locals, or locals that share no one shape.
+        locals_ = tuple(
+            _checked_diagonals(a) if a.ndim == 1
+            else quantum.require_hermitian(a, "local observable")
+            for a in locals_
+        )
         if not locals_:
             raise DomainError("partition needs at least one local observable")
-        shapes = sorted({a.shape for a in locals_})
         if len(shapes) > 1:
             raise DomainError(f"local observables differ in shape: {shapes}")
-        # A running sum, not np.sum of the stacked locals, which would hold a
-        # second copy of all of them; both add in the same order.
-        total = locals_[0].copy()
-        for a in locals_[1:]:
-            total += a
-        return cls(total=total, locals_=locals_, partition_label=label)
+        return cls(total=_summed(locals_), locals_=locals_, partition_label=label)
+
+    @classmethod
+    def _from_block(cls, block: np.ndarray, label: str):
+        if not len(block):
+            raise DomainError("partition needs at least one local observable")
+        block = _checked_diagonals(block)
+        return cls(total=_summed(block), locals_=tuple(block), partition_label=label)
 
     @property
     def diagonal(self) -> bool:
@@ -100,13 +120,30 @@ class PartitionedObservable:
         return self.total.ndim == 1
 
 
-def _checked_local(local: np.ndarray) -> np.ndarray:
-    local = np.asarray(local)
-    if local.ndim != 1:
-        return quantum.require_hermitian(local, "local observable")
-    if np.iscomplexobj(local) or not np.all(np.isfinite(local)):
+def _checked_diagonals(diagonals: np.ndarray) -> np.ndarray:
+    """``diagonals`` as a C-contiguous float array, if real and finite.
+
+    NaN and +-inf show in the minimum or the maximum, so two reductions
+    check the whole array with no temporary.
+    """
+    if np.iscomplexobj(diagonals) or (
+        diagonals.size
+        and not (math.isfinite(diagonals.min()) and math.isfinite(diagonals.max()))
+    ):
         raise DomainError("a diagonal local observable must be real and finite")
-    return local.astype(float, copy=False)
+    return np.ascontiguousarray(diagonals, dtype=float)
+
+
+def _summed(locals_) -> np.ndarray:
+    """The sum of the locals, added in order into a copy of the first.
+
+    A running sum, not np.sum of the stacked locals, which would hold a
+    second copy of all of them; both add in the same order.
+    """
+    total = locals_[0].copy()
+    for a in locals_[1:]:
+        total += a
+    return total
 
 
 def witness_depth(n_ent: float) -> int:

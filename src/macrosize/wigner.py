@@ -555,8 +555,9 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
             f"reconstruction dim must be a whole number in [2, {DIM_CAP}], got {dim}"
         )
     dim = int(dim)
+    xs, ps = grid.x_axis, grid.p_axis
     while True:
-        chain = _position_chain(dim, grid.x_axis, grid.p_axis)
+        chain = _position_chain(dim, xs, ps)
         raw = _overlap_reconstruct(grid, chain)
         # Weight outside the basis: a normalized grid carries unit trace, so
         # the raw overlap trace measures how much of the state fits in dim.
@@ -564,12 +565,12 @@ def reconstruct(grid: WignerGrid, dim: int | None = None) -> ReconstructionRepor
         if auto and tail > DIAGONAL_TAIL_LIMIT and dim < DIM_CAP:
             # A chain with no pairs leaves raw zero, a tail of 1.  Climb only
             # if the widest chain, DIM_CAP's, has pairs on this grid.
-            if chain.valid.size or _q_grid(DIM_CAP, grid.x_axis, grid.p_axis)[-1].max() >= 0:
+            if chain.valid.size or _q_grid(DIM_CAP, xs, ps)[-1].max() >= 0:
                 dim = _next_dim(dim)
                 continue
         break
 
-    values, vectors = quantum.eigh(raw)  # raw = X + X^H is exactly Hermitian
+    values, vectors = quantum._eigh(raw)  # raw = X + X^H is exactly Hermitian
     clipped_mass = float(np.sum(np.abs(values[values < 0.0])))
     clipped = np.clip(values, 0.0, None)
     trace = float(np.sum(clipped))

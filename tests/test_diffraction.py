@@ -209,6 +209,22 @@ def test_fit_survives_repeated_positions():
         fit_fringe(FringeScan.from_raw(close, np.tile([1.0, 2.0], 4)))
 
 
+def _far_scan(reach):
+    """40 positions on [0, reach] carrying four fringes of visibility 0.3."""
+    i = np.arange(40)
+    return FringeScan.from_raw(np.linspace(0.0, reach, 40), 1.0 + 0.3 * np.sin(2 * np.pi * i / 10))
+
+
+def test_fit_rejects_positions_whose_derivative_sums_overflow():
+    # jac @ jac carries s^2: past about 1e154 it overflows, which is a typed
+    # error and not a numpy warning followed by a zero wavenumber.
+    with pytest.raises(DomainError, match=r"scan positions reach 1e\+300: too large"):
+        fit_fringe(_far_scan(1e300))
+    fit = fit_fringe(_far_scan(1e150))
+    assert fit.visibility == pytest.approx(0.3, abs=1e-12)
+    assert fit.wavenumber == pytest.approx(2 * math.pi * 39 / 10 / 1e150, rel=1e-12)
+
+
 def _fringe_pairs():
     """8-40 (position, count > 0) pairs with positions from a pool of at most
     six, so repeated and unsorted positions are the rule."""

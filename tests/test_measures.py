@@ -262,6 +262,106 @@ def test_from_locals_rejects_bad_diagonal(diagonal):
         measures.PartitionedObservable.from_locals([np.array([1.0, -1.0]), diagonal])
 
 
+def _tiled_ghz_vector(n, q, phase):
+    """The GHZ pair as it was built one site at a time: each site's diagonal
+    its own ``np.tile`` of an ``np.repeat``, and the total their running sum."""
+    psi, _ = quantum.ghz_vector(n, q, phase)
+    locals_ = tuple(
+        np.tile(np.repeat([1.0, -1.0], 2 ** (n - 1 - site)), 2**site) for site in range(n)
+    )
+    total = locals_[0].copy()
+    for a in locals_[1:]:
+        total += a
+    return psi, measures.PartitionedObservable(total, locals_, "qubits")
+
+
+def _report_or_error(psi, obs):
+    try:
+        report = measures.size_report_for_state(psi, obs)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return repr(report.n_ext), repr(report.n_ent), repr(report.inputs["qfi"])
+
+
+# Register sizes and seeds of the byte-identity check: every n to 16, and a
+# few draws of the larger registers, whose reports take up to 0.15 s each.
+BLOCK_EDGE_WEIGHTS = (0.0, 1.0, 1e-300, 1.0 - 1e-16)
+BLOCK_SEEDS = {n: range(3) for n in range(1, 17)} | {n: range(1) for n in range(17, 21)}
+
+
+@pytest.mark.parametrize("n", sorted(BLOCK_SEEDS))
+def test_block_register_reports_match_the_tiled_build(n):
+    for seed in BLOCK_SEEDS[n]:
+        rng = np.random.default_rng(1000 * n + seed)
+        draws = [(q, float(rng.uniform(-4.0, 4.0))) for q in rng.uniform(0.0, 1.0, 2)]
+        edges = [(q, float(rng.uniform(-4.0, 4.0))) for q in BLOCK_EDGE_WEIGHTS]
+        for q, phase in draws + (edges if seed == 0 else []):
+            psi, obs = quantum.ghz_vector(n, q, phase)
+            assert _report_or_error(psi, obs) == _report_or_error(*_tiled_ghz_vector(n, q, phase))
+
+
+def test_ghz_register_is_one_c_contiguous_block():
+    _psi, obs = quantum.ghz_vector(5, 0.3)
+    block = obs.locals_[0].base
+    assert block.shape == (5, 32) and block.flags.c_contiguous and block.dtype == float
+    assert all(a.base is block for a in obs.locals_)
+    # A checked float block is used as given, not copied.
+    again = measures.PartitionedObservable.from_locals(block)
+    assert all(a.base is block for a in again.locals_)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (6, 64), (20, 5)])
+def test_block_and_list_of_rows_give_the_same_partition(shape):
+    block = np.random.default_rng(shape[0] * 100 + shape[1]).standard_normal(shape) * 1e3
+    running = block[0].copy()
+    for row in block[1:]:
+        running += row
+    for given_as in (block, list(block), np.asfortranarray(block)):
+        obs = measures.PartitionedObservable.from_locals(given_as)
+        assert obs.total.tobytes() == running.tobytes()
+        assert all(a.flags.c_contiguous and a.dtype == float for a in obs.locals_)
+        assert len(obs.locals_) == shape[0] and obs.diagonal
+
+
+def _error_message(locals_):
+    with pytest.raises(DomainError) as info:
+        measures.PartitionedObservable.from_locals(locals_)
+    return str(info.value)
+
+
+def test_block_and_list_of_rows_raise_the_same_errors():
+    for value in (np.nan, np.inf, -np.inf, 1j):
+        block = np.ones((3, 4), dtype=complex if isinstance(value, complex) else float)
+        block[1, 2] = value
+        message = "a diagonal local observable must be real and finite"
+        assert _error_message(block) == _error_message(list(block)) == message
+    empty = "partition needs at least one local observable"
+    assert _error_message(np.ones((0, 4))) == _error_message([]) == empty
+    mismatched = [np.ones(2), np.ones(3)]
+    assert _error_message(mismatched) == "local observables differ in shape: [(2,), (3,)]"
+    # A bad local is reported before the shapes, as each local is checked first.
+    assert _error_message([np.ones(2), np.array([1.0, np.nan, 1.0])]) == (
+        "a diagonal local observable must be real and finite"
+    )
+    assert _error_message([np.ones(2), quantum.SIGMA_Z]) == (
+        "local observables differ in shape: [(2,), (2, 2)]"
+    )
+
+
+def test_ghz_register_peak_memory_at_the_cap():
+    # psi, the n x 2**n block, the total and the report's populations and
+    # centred row: no n x 2**n temporary and no second copy of the block.
+    n = quantum.GHZ_VECTOR_MAX_QUBITS
+    tracemalloc.start()
+    try:
+        report = measures.size_report_for_state(*quantum.ghz_vector(n, 0.3, 0.7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_ent == pytest.approx(n, abs=1e-9)
+    assert peak <= 210e6
+
+
 @pytest.mark.parametrize("n,mixed,arrays", [(11, False, 2), (10, True, 6)])
 def test_size_report_peak_memory_in_dense_arrays(n, mixed, arrays):
     # Diagonal locals act elementwise on psi or on the eigenvectors, so a GHZ

@@ -274,7 +274,7 @@ def test_fidelity_of_a_pure_state_is_its_overlap(rng):
     rho = np.outer(psi, psi.conj())
     sigma = random_density(rng, 6)
     # F(psi psi^+, sigma) = <psi|sigma|psi>, with no square roots of rounding-level eigenvalues.
-    assert wigner.fidelity(rho, sigma) == pytest.approx(quantum.expectation(rho, sigma), abs=1e-14)
+    assert wigner.fidelity(rho, sigma) == pytest.approx(np.trace(rho @ sigma).real, abs=1e-14)
     assert wigner.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -842,9 +842,12 @@ def test_near_cap_qfi_matches_closed_form(make_grid, dim, fhat, old_method):
     ids=["pure", "pure-auto-dim", "mixed", "mixed-auto-dim"],
 )
 def test_qfi_from_grid_decomposes_once(monkeypatch, make_grid, dim):
+    # One eigensolve, no check of the exactly Hermitian raw overlap, and the
+    # grid's axes formed once however many dims the auto-dim ladder tries.
     grid = make_grid()
     calls = []
     eigh, eigvalsh, density = np.linalg.eigh, np.linalg.eigvalsh, quantum.density
+    hermitian, linspace = quantum.require_hermitian, np.linspace
 
     def counting(name, fn):
         return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
@@ -852,8 +855,10 @@ def test_qfi_from_grid_decomposes_once(monkeypatch, make_grid, dim):
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
     monkeypatch.setattr(quantum, "density", counting("density", density))
+    monkeypatch.setattr(quantum, "require_hermitian", counting("require_hermitian", hermitian))
+    monkeypatch.setattr(np, "linspace", counting("linspace", linspace))
     qfi_from_grid(grid, dim)
-    assert calls == ["eigh"]
+    assert calls == ["linspace", "linspace", "eigh"]
 
 
 def _refuse_dense_ladder(*_args, **_kwargs):
