@@ -232,10 +232,16 @@ def fi_bound(open_fraction: float, visibility: float, wavenumber: float) -> floa
 
 
 def qfi_bound(fi_classical: float, flight_time: float) -> float:
-    """Position-QFI lower bound (hbar t)^2 * F_cl (kg^2 m^2)."""
+    """Position-QFI lower bound (hbar t)^2 * F_cl (kg^2 m^2).
+
+    A positive F_cl whose bound underflows to 0 raises :class:`DomainError`.
+    """
     require_positive(flight_time=flight_time)
     require_nonnegative(fi_classical=fi_classical)
-    return (constants().hbar * flight_time) ** 2 * fi_classical
+    bound = (constants().hbar * flight_time) ** 2 * fi_classical
+    if bound == 0.0 and fi_classical > 0.0:
+        raise DomainError(f"QFI bound (hbar t)^2 F_cl underflows to 0 for F_cl = {fi_classical:.3g}")
+    return bound
 
 
 def coherence_length(qfi_value: float, mass: float) -> float:

@@ -177,8 +177,11 @@ def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
     ``state`` is a density matrix or, if 1-D, a pure state vector of the
     observable's dimension.  A vector with diagonal locals needs only its
     populations p = |psi|^2: Var(a) = sum p (a - <a>)^2 and QFI 4 Var(total).
-    Any other state (a vector as |psi><psi|) takes one ``quantum.density``,
-    and ``fisher``'s cores take the total and locals as ``from_locals`` checked them.
+    With dense locals a vector is the pure state whose psi is the one
+    ``quantum.density`` reads off |psi><psi|, rho[:, k] / sqrt(rho_kk) with
+    k the largest population, formed without the d x d matrix.  A density
+    matrix takes one ``quantum.density``.  ``fisher``'s cores take the
+    total and locals as ``from_locals`` checked them.
     """
     state = np.asarray(state)
     if state.shape[:1] != observable.total.shape[:1]:
@@ -189,8 +192,12 @@ def _qfi_and_variances(state: np.ndarray, observable: PartitionedObservable):
         populations = quantum.populations(state)
         if observable.diagonal:
             return _diagonal_qfi_and_variances(populations, observable)
-        state = np.outer(state, state.conj())
-    density = quantum.density(state)
+        # rho's diagonal and its column k, rounded as np.outer rounds them.
+        k = int(np.argmax((state * state.conj()).real))
+        column = np.asarray(state * state[k].conj(), dtype=complex)
+        density = quantum._pure_density(column / math.sqrt(column[k].real))
+    else:
+        density = quantum.density(state)
     total_qfi = fisher._qfi(density, observable.total).value
     return total_qfi, [fisher._state_variance(density, a) for a in observable.locals_]
 

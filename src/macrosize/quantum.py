@@ -317,7 +317,7 @@ def _check_tail(tail: float, dim: int, tail_of_dim, label: str) -> float:
 # Density decomposed by construction, so it needs no check by density(): a
 # pure state carries its normalized psi, a thermal state its descending
 # weights on the Fock basis.  Neither carries a dense rho; the public
-# constructors form it.
+# constructors form it through make_state, so build_state checks their inputs.
 
 
 def _pure_density(psi: np.ndarray) -> Density:
@@ -342,11 +342,11 @@ def _number(n: int, dim: int) -> Density:
 
 
 def vacuum_state(dim: int) -> np.ndarray:
-    return _number(0, dim).rho
+    return make_state("vacuum", dim)
 
 
 def number_state(n: int, dim: int) -> np.ndarray:
-    return _number(n, dim).rho
+    return make_state("number", dim, n=n)
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -385,7 +385,7 @@ def _coherent(alpha: complex, dim: int) -> Density:
 
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
-    return _coherent(alpha, dim).rho
+    return make_state("coherent", dim, alpha=alpha)
 
 
 def _cat(alpha: complex, dim: int) -> Density:
@@ -401,7 +401,7 @@ def _cat(alpha: complex, dim: int) -> Density:
 
 def cat_state(alpha: complex, dim: int) -> np.ndarray:
     """Normalized superposition of |alpha> and |-alpha>."""
-    return _cat(alpha, dim).rho
+    return make_state("cat", dim, alpha=alpha)
 
 
 def _thermal(nbar: float, dim: int) -> Density:
@@ -418,7 +418,7 @@ def _thermal(nbar: float, dim: int) -> Density:
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
     """Bose thermal state with mean occupation ``nbar``, p = nbar/(1+nbar)."""
-    return _thermal(nbar, dim).rho
+    return make_state("thermal", dim, nbar=nbar)
 
 
 def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
@@ -437,7 +437,7 @@ def _squeezed(r: float, dim: int) -> Density:
 
 
 def squeezed_state(r: float, dim: int) -> np.ndarray:
-    return _squeezed(r, dim).rho
+    return make_state("squeezed", dim, r=r)
 
 
 # kind -> (its parameter names, builder(dim, **parameters) of its Density)
@@ -455,8 +455,9 @@ def build_state(kind: str, dim: int, **params) -> Density:
     """The Density of a Fock state, kind in {vacuum, number, coherent, cat, thermal,
     squeezed}, decomposed by construction.
 
-    Every parameter must be finite (a complex alpha in both parts), else
-    :class:`DomainError`; a number state's ``n`` must be a whole number >= 0.
+    ``dim`` must be a whole number in [2, DIM_CAP] and every parameter
+    finite (a complex alpha in both parts), else :class:`DomainError`; a
+    number state's ``n`` must be a whole number >= 0.
     """
     try:
         names, builder = STATE_BUILDERS[kind]
@@ -469,9 +470,10 @@ def build_state(kind: str, dim: int, **params) -> Density:
     for name, value in params.items():
         if not np.isfinite(value):
             raise DomainError(f"{kind} state parameter {name} must be finite, got {value}")
-    if dim < 2 or dim > DIM_CAP:
-        raise DomainError(f"dim must be in [2, {DIM_CAP}], got {dim}")
-    return builder(dim, **params)
+    # The range test comes first: NaN fails it, and float() of a huge int overflows.
+    if not (2 <= dim <= DIM_CAP and float(dim).is_integer()):
+        raise DomainError(f"dim must be a whole number in [2, {DIM_CAP}], got {dim}")
+    return builder(int(dim), **params)
 
 
 def make_state(kind: str, dim: int, **params) -> np.ndarray:
@@ -497,7 +499,7 @@ def ghz_vector(n: int, q: float, phase: float = 0.0):
     """
     from .measures import PartitionedObservable
 
-    if n < 1:
+    if not n >= 1:  # NaN fails too
         raise DomainError(f"subsystem count must be >= 1, got {n}")
     if n > GHZ_VECTOR_MAX_QUBITS:
         # psi at 16 B and the n local diagonals plus their sum at 8 B per entry.
@@ -507,6 +509,9 @@ def ghz_vector(n: int, q: float, phase: float = 0.0):
             f"diagonals (~{bytes_needed / 1e9:.1f} GB); "
             f"capped at n={GHZ_VECTOR_MAX_QUBITS}"
         )
+    if not float(n).is_integer():
+        raise DomainError(f"subsystem count must be a whole number, got {n}")
+    n = int(n)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"weight q must lie in [0, 1], got {q}")
     if not math.isfinite(phase):

@@ -26,18 +26,18 @@ are real GEMMs against one interleaved (cos, -sin) phase matrix: the grid
 is real, and synthesis reads only the real part.
 
 A chain depends only on the axes and the dim, so it is a plan for its grid,
-as an FFT plan is: ``reconstruct`` and ``synth_values`` take it from a store
-keyed on the exact axis arrays and the dim, and build it only on a miss, so
-the frames of one grid (``macrosize wigner`` with several grid files, or a
-loop over ``reconstruct``) build it once.  The store is per thread (threads
-reconstructing different grids on the same axes share no buffer), its
-arrays are read-only, and every chain it keeps writes into that thread's
-one complex workspace, sized for the largest rows x cols box among them.
-Memory stays bounded by one set of axes: a thread keeps at most the
-auto-dim ladder 40, 61, 92, 139, 200 plus one other dim, drops the chains
-and the workspace when other axes arrive, and keeps no chain above
-``DIM_CAP`` (only synthesis asks for one, and ``reconstruct`` could never
-reuse it).  A thread's store goes when the thread ends.
+as an FFT plan is: ``reconstruct`` and ``synth_values`` take it from one
+process-wide ``functools.lru_cache`` keyed on the dim and the bytes of the
+axes, which builds it on a miss, so the frames of one grid (``macrosize
+wigner`` with several grid files, or a loop over ``reconstruct``) build it
+once.  Chains are read-only, so every thread shares them; each thread
+writes into its own grow-only complex workspace, sized for the largest
+rows x cols box it has used.  The cache keeps the CHAIN_CACHE_SIZE = 6
+chains used last, on any axes (the auto-dim ladder 40, 61, 92, 139, 200
+plus one), and no chain above ``DIM_CAP`` (only synthesis asks for one, and
+``reconstruct`` could never reuse it).  The ladder's five chains take 4.8 MB
+on +-7 x 71 axes, 14.9 MB on 321 x 161 points over +-16 and 30.0 MB on
++-22 x 481, whose largest workspaces take 3.9, 11.3 and 17.6 MB.
 ``fock_kernel`` evaluates one kernel |m><n| in closed form and is kept as
 the reference both are tested against; it is the one function here that
 needs scipy, and imports it when called.
@@ -45,6 +45,7 @@ needs scipy, and imports it when called.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -361,27 +362,20 @@ def _next_dim(dim: int) -> int:
     return min(int(dim * 1.5) + 1, DIM_CAP)
 
 
-def _auto_dims() -> frozenset[int]:
-    """Every dim of the auto-dim ladder: 40, 61, 92, 139, 200."""
-    dims = [DEFAULT_DIM]
-    while dims[-1] < DIM_CAP:
-        dims.append(_next_dim(dims[-1]))
-    return frozenset(dims)
+# The chains kept per process: the auto-dim ladder 40, 61, 92, 139, 200 plus
+# one other dim.
+CHAIN_CACHE_SIZE = 6
 
 
-_AUTO_DIMS = _auto_dims()
+@functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _cached_chain(dim: int, xs: bytes, ps: bytes) -> _Chain:
+    """The chain of ``dim`` on the float64 axes with these bytes, built on a miss."""
+    return _build_chain(dim, np.frombuffer(xs), np.frombuffer(ps))
 
 
-class _Store(threading.local):
-    """One thread's chains for one set of axes, and their workspace."""
-
-    def __init__(self):
-        self.axes: tuple[bytes, bytes] | None = None
-        self.chains: dict[int, _Chain] = {}
-        self.work = np.empty(0, dtype=complex)
-
-
-_STORE = _Store()
+# Each thread's one grow-only workspace: threads share the read-only chains,
+# but two reconstructions on the same axes must not share a buffer.
+_THREAD = threading.local()
 
 
 def _require_chain_dim(dim: int) -> None:
@@ -393,37 +387,26 @@ def _require_chain_dim(dim: int) -> None:
 
 
 def _position_chain(dim: int, xs: np.ndarray, ps: np.ndarray) -> _Chain:
-    """The chain of ``dim`` on these axes, from this thread's store; a chain
+    """The chain of ``dim`` on these axes, from the process-wide cache; a chain
     above ``DIM_CAP`` is built and not kept."""
     _require_chain_dim(dim)
     if dim > DIM_CAP:
         return _build_chain(dim, xs, ps)
-    store = _STORE
-    axes = (xs.tobytes(), ps.tobytes())
-    if store.axes != axes:
-        store.axes, store.chains = axes, {}
-        store.work = np.empty(0, dtype=complex)
-    chain = store.chains.get(dim)
-    if chain is None:
-        if dim not in _AUTO_DIMS:
-            for other in [d for d in store.chains if d not in _AUTO_DIMS]:
-                del store.chains[other]
-        chain = store.chains[dim] = _build_chain(dim, xs, ps)
-    return chain
+    return _cached_chain(dim, xs.tobytes(), ps.tobytes())
 
 
 def _workspace(chain: _Chain) -> np.ndarray:
     """A rows x cols complex workspace for ``chain``, its contents left over
     from the last chain that used it: a view of this thread's one buffer,
-    which grows for the chains the store keeps; a chain above ``DIM_CAP``
+    which grows for the chains up to ``DIM_CAP``; a chain above ``DIM_CAP``
     that does not fit it gets a buffer of its own."""
     shape = (chain.rows.shape[1], chain.cols.shape[1])
     size = shape[0] * shape[1]
-    work = _STORE.work
-    if work.size < size:
+    work = getattr(_THREAD, "work", None)
+    if work is None or work.size < size:
         work = np.empty(size, dtype=complex)
         if chain.rows.shape[0] <= DIM_CAP:
-            _STORE.work = work
+            _THREAD.work = work
     return work[:size].reshape(shape)
 
 

@@ -389,19 +389,31 @@ def test_diffraction_fits_a_scan_written_twice(tmp_path, capfd):
     assert visibilities[1] == pytest.approx(visibilities[0], abs=1e-9)
 
 
-def test_diffraction_scan_too_wide_to_fit_exits_3(tmp_path, capsys):
+def _far_scan_cli(tmp_path, capsys, reach):
+    """``macrosize diffraction`` on 40 positions on [0, reach] with four fringes."""
     cfg = write_json(
         tmp_path / "fein.json", {k: v for k, v in FEIN_CONFIG.items() if k != "visibility"}
     )
     rows = [
         f"{x!r} {1 + 0.3 * math.sin(2 * math.pi * i / 10)!r}"
-        for i, x in enumerate(np.linspace(0.0, 1e300, 40).tolist())
+        for i, x in enumerate(np.linspace(0.0, reach, 40).tolist())
     ]
     path = tmp_path / "scan.txt"
     path.write_text("\n".join(["fringe-scan v1", *rows]) + "\n", encoding="utf-8")
-    code, out, err = run_cli(["diffraction", cfg, str(path)], capsys)
+    return run_cli(["diffraction", cfg, str(path)], capsys)
+
+
+def test_diffraction_scan_too_wide_to_fit_exits_3(tmp_path, capsys):
+    code, out, err = _far_scan_cli(tmp_path, capsys, 1e300)
     assert (code, out) == (3, "")
     assert err == "error: scan positions reach 1e+300: too large for the fringe fit\n"
+
+
+def test_diffraction_scan_whose_qfi_bound_underflows_exits_3(tmp_path, capsys):
+    # The fit holds, but (hbar t)^2 F_cl rounds to 0: the sizes were all 0.
+    code, out, err = _far_scan_cli(tmp_path, capsys, 1e150)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: QFI bound (hbar t)^2 F_cl underflows to 0 for F_cl = ")
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,19 @@ def test_qfi_bound_scalings():
     assert qfi_bound(0.0, 1.0) == 0.0
 
 
+def test_qfi_bound_rejects_a_positive_fisher_information_that_underflows():
+    # A fringe fit on positions reaching 1e150 gives F_cl ~ 4e-299 m^-2,
+    # and (hbar t)^2 F_cl rounds to 0: no bound, not a zero size.
+    fit = fit_fringe(_far_scan(1e150))
+    fi = fi_bound(0.43, fit.visibility, fit.wavenumber)
+    assert fi > 0.0
+    with pytest.raises(DomainError, match="underflows to 0"):
+        qfi_bound(fi, 1.0 / 260.0)
+    with pytest.raises(DomainError, match="underflows to 0"):
+        qfi_bound(1.0, 1e-300)
+    assert qfi_bound(0.0, 1e-300) == 0.0
+
+
 def test_qfi_bound_gaussian_density():
     # Known-sigma Gaussian detection density: F >= (hbar t)^2 / sigma^2.
     sigma, t = 1.3e-6, 2.0e-3

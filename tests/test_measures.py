@@ -388,6 +388,49 @@ def test_state_vector_with_dense_locals_matches_density_matrix(rng):
     assert from_vector == from_rho
 
 
+def _vector_and_matrix_values(psi, obs):
+    """repr of (QFI, local variances) from the vector and from |psi><psi|."""
+    return [
+        repr(measures._qfi_and_variances(state, obs))
+        for state in (psi, np.outer(psi, psi.conj()))
+    ]
+
+
+def test_state_vector_with_dense_locals_keeps_the_density_matrix_bytes():
+    # The vector's pure state is the one quantum.density reads off
+    # |psi><psi|, so every value keeps its last bit.
+    rng = np.random.default_rng(90210)
+    for _ in range(300):
+        dim = int(rng.integers(2, 33))
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi /= np.linalg.norm(psi)
+        locals_ = [random_hermitian(rng, dim) for _ in range(int(rng.integers(1, 4)))]
+        from_vector, from_matrix = _vector_and_matrix_values(
+            psi, measures.PartitionedObservable.from_locals(locals_)
+        )
+        assert from_vector == from_matrix
+    for n in range(1, 10):
+        dense = _sigma_z_partition(n)
+        for q in (1e-12, 0.3, 0.5, 1.0 - 1e-9, 1.0):
+            psi, _ = quantum.ghz_vector(n, q, phase=0.7)
+            from_vector, from_matrix = _vector_and_matrix_values(psi, dense)
+            assert from_vector == from_matrix
+
+
+def test_state_vector_with_dense_locals_forms_no_square_array():
+    n = 10
+    psi, _ = quantum.ghz_vector(n, 0.3, phase=0.7)
+    obs = _sigma_z_partition(n)
+    tracemalloc.start()
+    try:
+        report = measures.size_report_for_state(psi, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_ent == pytest.approx(n, abs=1e-9)
+    assert peak < 16 * 2**n * 2**n / 8
+
+
 @given(
     n=st.integers(min_value=1, max_value=8),
     q=st.floats(min_value=1e-12, max_value=1.0 - 1e-12),

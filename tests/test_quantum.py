@@ -579,6 +579,55 @@ def test_number_state_whole_float_index_builds_the_integer_state():
     )
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # These returned an all-NaN matrix with only a RuntimeWarning.
+        (lambda: quantum.coherent_state(math.nan, 10), "alpha must be finite"),
+        (lambda: quantum.squeezed_state(math.nan, 10), "r must be finite"),
+        # Past DIM_CAP, and below the two levels every other path needs.
+        (lambda: quantum.thermal_state(0.1, 5000), "whole number in"),
+        (lambda: quantum.vacuum_state(1), "whole number in"),
+    ],
+    ids=["coherent-nan", "squeezed-nan", "thermal-past-cap", "vacuum-dim-1"],
+)
+def test_constructors_check_their_inputs_as_build_state_does(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("dim", [2.5, np.float64(7.5), math.nan, np.float64("nan"), math.inf])
+def test_build_state_rejects_a_dim_that_is_not_whole(dim):
+    # 2.5 raised numpy's TypeError, NaN a TruncationError about "dim nan".
+    with pytest.raises(DomainError, match="dim must be a whole number in") as excinfo:
+        quantum.build_state("number", dim, n=1)
+    assert not isinstance(excinfo.value, TruncationError)
+
+
+def test_build_state_takes_a_whole_float_dim():
+    assert np.array_equal(quantum.make_state("vacuum", 12.0), quantum.vacuum_state(12))
+
+
+@pytest.mark.parametrize("n", [2.5, np.float64(3.5), math.nan])
+def test_ghz_vector_rejects_a_count_that_is_not_whole(n):
+    # 2.5 raised numpy's TypeError.
+    with pytest.raises(DomainError, match="subsystem count must be"):
+        quantum.ghz_vector(n, 0.3)
+
+
+def test_constructors_keep_their_bytes():
+    cases = [
+        (quantum.vacuum_state, (12,), lambda: quantum._number(0, 12)),
+        (quantum.number_state, (3, 12), lambda: quantum._number(3, 12)),
+        (quantum.coherent_state, (1.2 - 0.7j, 30), lambda: quantum._coherent(1.2 - 0.7j, 30)),
+        (quantum.cat_state, (1.5j, 40), lambda: quantum._cat(1.5j, 40)),
+        (quantum.thermal_state, (0.8, 60), lambda: quantum._thermal(0.8, 60)),
+        (quantum.squeezed_state, (0.4, 40), lambda: quantum._squeezed(0.4, 40)),
+    ]
+    for constructor, args, builder in cases:
+        assert constructor(*args).tobytes() == builder().rho.tobytes()
+
+
 @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
 def test_ghz_vector_rejects_non_finite_phase(phase):
     with pytest.raises(DomainError, match="phase must be finite"):

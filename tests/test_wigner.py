@@ -2,6 +2,7 @@ import math
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -589,41 +590,123 @@ def test_stored_chain_is_read_only():
         chain.cols[0, 0] = 1.0
 
 
-def test_store_keeps_one_axes_set():
-    store = wigner._STORE
+def _chain_nbytes(chain):
+    return (
+        chain.rows.base.nbytes + chain.valid.nbytes + chain.phase.nbytes
+        + sum(index.nbytes for index in chain.pairs)
+    )
+
+
+def test_chain_cache_keeps_chains_across_axes():
+    wigner._cached_chain.cache_clear()
     xs_a, xs_b = np.linspace(*NINE), np.linspace(*SEVEN)
-    wigner._position_chain(12, xs_b, xs_b)
     first = wigner._position_chain(40, xs_a, xs_a)
+    # Equal axes in other arrays are the same key.
     assert wigner._position_chain(40, xs_a, np.linspace(*NINE)) is first
-    # The ladder dims stay; a dim off the ladder replaces the last such dim.
-    for dim in (61, 32, 33):
-        wigner._position_chain(dim, xs_a, xs_a)
-    assert sorted(store.chains) == [33, 40, 61]
-    # Every chain of the thread writes into one grow-only workspace.
-    big = wigner._workspace(store.chains[61])
+    # Other axes leave the first ones' chain in place: A, B, A reuses it.
+    other = wigner._position_chain(40, xs_b, xs_b)
+    assert other is not first
+    assert wigner._position_chain(40, xs_a, xs_a) is first
+    info = wigner._cached_chain.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+    # Every chain writes into the thread's one grow-only workspace, on any axes.
+    big = wigner._workspace(wigner._position_chain(61, xs_a, xs_a))
     assert wigner._workspace(first).base is big.base
-    # Other axes drop every chain of the old ones, and the workspace with them.
-    small = wigner._position_chain(12, xs_b, xs_b)
-    assert sorted(store.chains) == [12]
-    assert store.work.size == 0
-    assert wigner._workspace(small).size == store.work.size < big.size
-    assert wigner._position_chain(40, xs_a, xs_a) is not first
+    assert wigner._workspace(other).base is big.base
+    # Another thread reads the same chain and writes into a workspace of its own.
+    seen = {}
+
+    def work():
+        seen["chain"] = wigner._position_chain(40, np.linspace(*NINE), np.linspace(*NINE))
+        seen["work"] = wigner._workspace(seen["chain"])
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert seen["chain"] is first
+    assert not np.shares_memory(seen["work"], big)
+
+
+def test_chain_cache_holds_at_most_its_size():
+    wigner._cached_chain.cache_clear()
+    xs = np.linspace(-3.0, 3.0, 61)
+    dims = list(range(2, wigner.CHAIN_CACHE_SIZE + 4))
+    chains = [wigner._position_chain(dim, xs, xs) for dim in dims]
+    info = wigner._cached_chain.cache_info()
+    assert info.currsize == info.maxsize == wigner.CHAIN_CACHE_SIZE
+    # The least recently used chains go first.
+    assert wigner._position_chain(dims[-1], xs, xs) is chains[-1]
+    assert wigner._position_chain(dims[0], xs, xs) is not chains[0]
+
+
+def test_chain_cache_holds_the_auto_dim_ladder_plus_one():
+    ladder = [wigner.DEFAULT_DIM]
+    while ladder[-1] < wigner.DIM_CAP:
+        ladder.append(wigner._next_dim(ladder[-1]))
+    assert wigner.CHAIN_CACHE_SIZE == len(ladder) + 1
+    assert wigner._cached_chain.cache_info().maxsize == wigner.CHAIN_CACHE_SIZE
+    # The whole ladder and one other dim on one set of axes stay cached.
+    wigner._cached_chain.cache_clear()
+    xs = np.linspace(*SEVEN)
+    dims = [*ladder, 32]
+    chains = [wigner._position_chain(dim, xs, xs) for dim in dims]
+    assert all(wigner._position_chain(dim, xs, xs) is c for dim, c in zip(dims, chains))
+    assert wigner._cached_chain.cache_info().misses == len(dims)
+
+
+def test_chain_cache_memory_stays_bounded():
+    # The ladder on eight sets of axes, in a new thread so that its
+    # workspace starts empty: the cache keeps the last six chains and the
+    # thread one workspace, the largest it needed; nothing else outlives
+    # the calls.
+    wigner._cached_chain.cache_clear()
+    ladder = (40, 61, 92, 139, 200)
+    measured = {}
+
+    def work():
+        chain_bytes, work_bytes = [], 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for half_width in range(7, 15):
+                xs = np.linspace(-half_width, half_width, 71)
+                for dim in ladder:
+                    chain = wigner._position_chain(dim, xs, xs)
+                    chain_bytes.append(_chain_nbytes(chain))
+                    work_bytes = max(work_bytes, wigner._workspace(chain).nbytes)
+                del chain
+            measured["retained"] = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        measured["kept"] = sum(chain_bytes[-wigner.CHAIN_CACHE_SIZE:])
+        measured["work"] = work_bytes
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=120)
+    assert wigner._cached_chain.cache_info().currsize == wigner.CHAIN_CACHE_SIZE
+    kept, retained = measured["kept"], measured["retained"]
+    assert kept <= retained <= kept + measured["work"] + 100_000
 
 
 def test_store_keeps_no_chain_above_dim_cap():
     # Only synthesis asks for a dim above DIM_CAP, so its chain and its
-    # workspace would stay with the thread and never be reused.
+    # workspace would stay in the process and never be reused.
+    wigner._cached_chain.cache_clear()
     xs = np.linspace(-3.0, 3.0, 61)
     kept = wigner._position_chain(40, xs, xs)
-    work = wigner._STORE.work
+    wigner._workspace(kept)
+    work = wigner._THREAD.work
+    info = wigner._cached_chain.cache_info()
     rho = quantum.vacuum_state(wigner.DIM_CAP + 1)
     w = wigner.synth_values(rho, xs, xs)
     assert w.tobytes() == _fresh_synth(rho, xs, xs).tobytes()
-    assert wigner._STORE.chains == {40: kept}
-    assert wigner._STORE.work is work
+    assert wigner._cached_chain.cache_info() == info
+    assert wigner._THREAD.work is work
     assert wigner._position_chain(wigner.DIM_CAP + 1, xs, xs) is not wigner._position_chain(
         wigner.DIM_CAP + 1, xs, xs
     )
+    assert wigner._position_chain(40, xs, xs) is kept
 
 
 @pytest.mark.parametrize(
@@ -653,11 +736,12 @@ def test_hermite_norms_hold_at_cap():
 
 def test_chain_dim_above_cap_raises_before_any_work():
     over = wigner.HERMITE_DIM_CAP + 1
-    xs, other = np.linspace(-3.0, 3.0, 61), np.linspace(*NINE)
-    wigner._position_chain(2, other, other)
+    xs = np.linspace(-3.0, 3.0, 61)
+    wigner._position_chain(2, xs, xs)
+    info = wigner._cached_chain.cache_info()
     with pytest.raises(DomainError, match="HERMITE_DIM_CAP"):
         wigner._position_chain(over, xs, xs)
-    assert wigner._STORE.axes == (other.tobytes(), other.tobytes())
+    assert wigner._cached_chain.cache_info() == info
     # Not a density matrix: the cap check comes before the density check.
     rho = np.zeros((over, over))
     with pytest.raises(DomainError, match="HERMITE_DIM_CAP"):
@@ -981,6 +1065,7 @@ def test_grid_outside_support_gives_zeros():
     p_axis = (-4.0, 4.0, 33)
     rho = random_density(np.random.default_rng(1), 40)
     for x_axis in ((30.0, 40.0, 33), (40.0, 48.0, 33)):
+        wigner._cached_chain.cache_clear()
         values = wigner.synth_values(rho, np.linspace(*x_axis), np.linspace(*p_axis))
         assert values.shape == (33, 33)
         assert np.array_equal(values, np.zeros((33, 33)))
@@ -991,18 +1076,26 @@ def test_grid_outside_support_gives_zeros():
         for dim in (40, None):
             with pytest.raises(ReconstructionError, match="zero state"):
                 reconstruct(grid, dim)
-        assert list(wigner._STORE.chains) == [40]
+        # Synthesis built the dim-40 chain; the lookup and both
+        # reconstructions reused it, and built no other.
+        info = wigner._cached_chain.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
 
 
 def test_grid_outside_dim_40_support_climbs_the_ladder():
     # x on [16, 25] lies beyond the dim-40 cut radius 15 but inside the
     # dim-61 one: auto-dim steps past the empty dim-40 chain.
+    wigner._cached_chain.cache_clear()
     grid = WignerGrid(16.0, 25.0, 33, -4.0, 4.0, 33, np.ones((33, 33)))
     with pytest.raises(ReconstructionError, match="unfaithful"):
         reconstruct(grid)
-    chains = wigner._STORE.chains
-    assert chains[40].rows.shape == (40, 0)
-    assert chains[61].rows.shape[1] > 0
+    # It climbed to dim 139, where the tail fell below the limit.
+    xs, ps = grid.x_axis, grid.p_axis
+    chains = [wigner._position_chain(dim, xs, ps) for dim in (40, 61, 92, 139)]
+    info = wigner._cached_chain.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 4, 4)
+    assert chains[0].rows.shape == (40, 0)
+    assert chains[1].rows.shape[1] > 0
 
 
 @given(
