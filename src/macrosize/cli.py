@@ -604,7 +604,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     out = Output()
     try:
         code = args.func(args, out)
-    except (ConfigError, wigner.WignerFormatError) as exc:
+    except (ConfigError, wigner.WignerFormatError, diffraction.ScanFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except wigner.ReconstructionError as exc:

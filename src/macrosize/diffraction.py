@@ -25,6 +25,10 @@ class FitError(MacrosizeError):
     """The fringe scan cannot be described by a sinusoid."""
 
 
+class ScanFormatError(MacrosizeError):
+    """A fringe-scan file that is not UTF-8 text or not in the 'fringe-scan v1' format."""
+
+
 @dataclass(frozen=True)
 class TalbotLauSetup:
     """Geometry and statistics of a three-grating interferometer run."""
@@ -97,26 +101,30 @@ class FringeScan:
 def load_fringe_scan(path) -> FringeScan:
     """Read a 'fringe-scan v1' text file of `s n` pairs (SI meters, counts).
 
-    Counts are normalized to unit mean on load.
+    Counts are normalized to unit mean on load.  A value is any token that
+    ``float()`` reads.  A file that is not UTF-8, lacks the header, holds a
+    line that is not two values or holds no pair raises ``ScanFormatError``;
+    the checks of ``FringeScan.from_raw`` (finite values, at least 8 pairs,
+    a positive mean count) raise ``DomainError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except UnicodeDecodeError as exc:
-        raise DomainError(f"scan file is not UTF-8 text: {exc}") from exc
+        raise ScanFormatError(f"scan file is not UTF-8 text: {exc}") from exc
     if not lines or lines[0] != "fringe-scan v1":
-        raise DomainError("missing 'fringe-scan v1' header")
+        raise ScanFormatError("missing 'fringe-scan v1' header")
     pairs = []
     for i, line in enumerate(lines[1:]):
         fields = line.split()
         if len(fields) != 2:
-            raise DomainError(f"scan line {i + 1} must hold 's n', got {line!r}")
+            raise ScanFormatError(f"scan line {i + 1} must hold 's n', got {line!r}")
         try:
             pairs.append((float(fields[0]), float(fields[1])))
         except ValueError as exc:
-            raise DomainError(f"unparseable scan line {i + 1}: {line!r}") from exc
+            raise ScanFormatError(f"unparseable scan line {i + 1}: {line!r}") from exc
     if not pairs:
-        raise DomainError("scan file holds no 's n' lines")
+        raise ScanFormatError("scan file holds no 's n' lines")
     s, n = np.array(pairs).T
     return FringeScan.from_raw(s, n)
 

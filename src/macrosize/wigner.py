@@ -2,6 +2,9 @@
 
 Grids sample W(x, p) on dimensionless quadratures with vacuum variance
 1/2, so that the vacuum peak is 1/pi and the grid integrates to one.
+``load_grid`` parses a data block of JSON numbers separated by single spaces
+as one JSON array of rows (orjson rounds them as ``float()`` does), and any
+other block token by token with ``float()``, the one path that raises.
 Reconstruction projects the grid onto the Wigner kernels of the Fock
 operators |m><n| (no iterative tomography), repairs positivity by
 clipping negative eigenvalues, and reports the fit residual.  The state
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -177,6 +181,19 @@ HEADER = "wigner-grid v1"
 
 
 def save_grid(grid: WignerGrid, path) -> None:
+    """Write ``grid`` as a ``wigner-grid v1`` file that ``load_grid`` reads back bit for bit.
+
+    The file is UTF-8 text::
+
+        wigner-grid v1
+        x <min> <max> <count>
+        p <min> <max> <count>
+        scale 1
+        <p count rows of x count values, ascending p, one space between values>
+
+    Every number is written with 17 significant digits, so it reads back as
+    the same double, and the data block takes ``load_grid``'s JSON pass.
+    """
     lines = [HEADER]
     lines.append(f"x {grid.x_min:.17g} {grid.x_max:.17g} {grid.x_count}")
     lines.append(f"p {grid.p_min:.17g} {grid.p_max:.17g} {grid.p_count}")
@@ -203,10 +220,59 @@ def _parse_axis(line: str, name: str):
     return lo, hi, count
 
 
+# The JSON pass maps a data block byte for byte: a space to the comma between
+# two values, and every byte outside a JSON number's digits, signs, point and
+# exponent (a tab, a carriage return, a letter, a quote, a bracket, a comma) to
+# "x", which no JSON text holds outside a string.
+_TO_JSON = bytes(
+    c if chr(c) in "0123456789eE+-.\n" else ord(",") if c == ord(" ") else ord("x")
+    for c in range(256)
+)
+# A whole token -0: JSON reads it as the integer 0, float() as -0.0.
+_NEGATIVE_ZERO = re.compile(rb"-0(?<![^ \n]-0)(?![^ \n])")
+
+
+def _json_values(rows: list[str], shape: tuple[int, int]) -> np.ndarray | None:
+    """The data rows parsed as one JSON array of rows, or None where that pass does not apply.
+
+    Rows of JSON numbers joined by single spaces pass, and orjson rounds each
+    as ``float()`` does; anything else (a tab, a double space, ``1_0``,
+    ``.5``, ``+1``, ``01``, ``inf``, ``1e400``, ``true``, a ragged row, a
+    shape other than ``shape``) returns None.  The array is sized from the
+    data, never from the header.
+    """
+    import orjson
+
+    def parse(block: bytes) -> np.ndarray:
+        text = b"".join((b"[[", block.translate(_TO_JSON).replace(b"\n", b"],["), b"]]"))
+        return np.array(orjson.loads(text), dtype=float)
+
+    block = "\n".join(rows).encode()
+    try:
+        values = parse(block)
+        if values.shape == shape and not values.all():
+            # A zero may come from a whole token -0, which JSON reads as +0.
+            values = parse(_NEGATIVE_ZERO.sub(b"-0.0", block))
+    except ValueError:
+        return None
+    return values if values.shape == shape else None
+
+
 def load_grid(path) -> WignerGrid:
+    """Read a ``wigner-grid v1`` file (see ``save_grid``).
+
+    Blank lines and blanks around a line are ignored, values are separated
+    by any whitespace, and the ``scale <s>`` line is optional (default 1);
+    every value is multiplied by it.  A value is any token that ``float()``
+    reads; non-finite values are rejected.  Errors, all ``WignerFormatError``:
+    ``GridHeaderError`` for a file that is not UTF-8, a missing or malformed
+    header, axis or scale line, or a non-finite or degenerate axis;
+    ``GridAxisError`` for a row or column count that does not match the axes;
+    ``GridValueError`` for an unparseable (naming its row) or non-finite value.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            lines = [line for line in map(str.strip, handle) if line]
     except UnicodeDecodeError as exc:
         raise GridHeaderError(f"grid file is not UTF-8 text: {exc}") from exc
     if not lines or lines[0] != HEADER:
@@ -232,6 +298,14 @@ def load_grid(path) -> WignerGrid:
     rows = lines[data_start:]
     if len(rows) != p_count:
         raise GridAxisError(f"expected {p_count} data rows, found {len(rows)}")
+    values = _json_values(rows, (p_count, x_count))
+    if values is None:
+        values = _float_values(rows, x_count).reshape(p_count, x_count)
+    return WignerGrid(x_min, x_max, x_count, p_min, p_max, p_count, values * scale)
+
+
+def _float_values(rows: list[str], x_count: int) -> np.ndarray:
+    """The data rows parsed token by token as ``float()`` does: the one path that raises."""
     # Rows are checked before any array is sized from the header's counts.
     tokens = []
     for i, row in enumerate(rows):
@@ -243,7 +317,7 @@ def load_grid(path) -> WignerGrid:
         tokens.extend(fields)
     # numpy parses each token as float() does, in one call.
     try:
-        values = np.array(tokens, dtype=float)
+        return np.array(tokens, dtype=float)
     except ValueError:
         for i, row in enumerate(rows):
             try:
@@ -251,8 +325,6 @@ def load_grid(path) -> WignerGrid:
             except ValueError as exc:
                 raise GridValueError(f"unparseable value in data row {i}") from exc
         raise GridValueError("unparseable value in the data block") from None
-    values = values.reshape(p_count, x_count) * scale
-    return WignerGrid(x_min, x_max, x_count, p_min, p_max, p_count, values)
 
 
 # ---------------------------------------------------------------------------

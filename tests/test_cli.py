@@ -359,6 +359,19 @@ def test_diffraction_rejects_nan_in_scan(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_diffraction_rejects_malformed_scan_file_with_exit_2(tmp_path, capsys):
+    # A scan file in an unknown format is a file-format error, as a grid file's is.
+    cfg = write_json(
+        tmp_path / "fein.json", {k: v for k, v in FEIN_CONFIG.items() if k != "visibility"}
+    )
+    scan_path = tmp_path / "scan.txt"
+    write_fein_scan(scan_path)
+    scan_path.write_text(scan_path.read_text().replace("fringe-scan v1", "fringe-scan v2", 1))
+    code, out, err = run_cli(["diffraction", cfg, str(scan_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: missing 'fringe-scan v1' header\n"
+
+
 def test_diffraction_rejects_wrong_unit(tmp_path, capsys):
     bad = dict(FEIN_CONFIG)
     bad["mass"] = "4.4465e-23 g"
@@ -697,8 +710,12 @@ def _subprocess_env():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Every CLI job starts a process; scipy alone would take most of its start-up.
-    code = "import sys, macrosize.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # Every CLI job starts a process; scipy alone would take most of its start-up,
+    # and orjson is imported only by the grid reader that uses it.
+    code = (
+        "import sys, macrosize.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'orjson'))))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
     )

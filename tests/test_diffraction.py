@@ -16,6 +16,7 @@ from scipy.linalg import expm
 from macrosize import cli, diffraction, fisher, quantum
 from macrosize.diffraction import (
     FringeScan,
+    ScanFormatError,
     TalbotLauSetup,
     cm_spread,
     coherence_length,
@@ -136,21 +137,33 @@ def test_from_raw_rejects_non_finite_counts_before_dividing(bad):
 def test_scan_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("fringes\n0 1\n", encoding="utf-8")
-    with pytest.raises(DomainError, match="header"):
+    with pytest.raises(ScanFormatError, match="header"):
         load_fringe_scan(path)
 
 
 def test_scan_file_rejects_non_utf8(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes("fringe-scan v1\n0 1 \xe9\n".encode("latin-1"))
-    with pytest.raises(DomainError, match="UTF-8"):
+    with pytest.raises(ScanFormatError, match="UTF-8"):
         load_fringe_scan(path)
 
 
 def test_scan_file_rejects_header_only(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("fringe-scan v1\n", encoding="utf-8")
-    with pytest.raises(DomainError, match="no 's n' lines"):
+    with pytest.raises(ScanFormatError, match="no 's n' lines"):
+        load_fringe_scan(path)
+
+
+@pytest.mark.parametrize(
+    "line,match",
+    [("0 1 2", r"scan line 1 must hold 's n', got '0 1 2'"),
+     ("0 two", r"unparseable scan line 1: '0 two'")],
+)
+def test_scan_file_rejects_malformed_lines(tmp_path, line, match):
+    path = tmp_path / "lines.txt"
+    path.write_text(f"fringe-scan v1\n{line}\n", encoding="utf-8")
+    with pytest.raises(ScanFormatError, match=match):
         load_fringe_scan(path)
 
 
@@ -171,13 +184,14 @@ def _scan_text():
 @given(st.one_of(st.binary(max_size=120), _scan_text()))
 @settings(max_examples=400, deadline=None)
 def test_load_fringe_scan_fuzz(content):
-    # Any file either loads or raises a DomainError, never anything else.
+    # Any file either loads, raises a ScanFormatError (its format) or a
+    # DomainError (its values), never anything else.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.txt"
         path.write_bytes(content)
         try:
             scan = load_fringe_scan(path)
-        except DomainError:
+        except (ScanFormatError, DomainError):
             return
     assert isinstance(scan, FringeScan)
 

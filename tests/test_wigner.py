@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 import tempfile
@@ -177,7 +178,11 @@ def test_load_errors_are_distinct(tmp_path):
         load_grid(garbage)
 
 
-@pytest.mark.parametrize("token,row", [("two", 0), ("1d5", 1), ("0x10", 1), ("1e", 0)])
+@pytest.mark.parametrize(
+    "token,row",
+    [("two", 0), ("1d5", 1), ("0x10", 1), ("1e", 0),
+     ("true", 0), ("null", 1), ('"1"', 0), ("[1]", 1), ("1,2", 0)],
+)
 def test_load_names_the_unparseable_row(tmp_path, token, row):
     path = tmp_path / "bad.wig"
     rows = ["1 2", "3 4"]
@@ -188,12 +193,72 @@ def test_load_names_the_unparseable_row(tmp_path, token, row):
 
 
 def test_load_parses_tokens_as_float_does(tmp_path):
-    tokens = ["1_0", "\u0661\u0662", "1.5e-320", "-0", ".5", "1e-400", "+1", "\u0663e\u0662"]
+    tokens = ["1_0", "\u0661\u0662", "1.5e-320", "-0", ".5", "1e-400", "+1", "\u0663e\u0662",
+              "0", "01", "1.", "1e-0", "1E+05", "18446744073709551616", "-0.0", "-1e-400"]
     path = tmp_path / "tokens.wig"
-    text = "wigner-grid v1\nx -1 1 4\np -1 1 2\n" + " ".join(tokens[:4]) + "\n"
-    path.write_text(text + " ".join(tokens[4:]) + "\n", encoding="utf-8")
-    expected = np.array([float(t) for t in tokens]).reshape(2, 4)
+    text = "wigner-grid v1\nx -1 1 8\np -1 1 2\n" + " ".join(tokens[:8]) + "\n"
+    path.write_text(text + " ".join(tokens[8:]) + "\n", encoding="utf-8")
+    expected = np.array([float(t) for t in tokens]).reshape(2, 8)
     assert load_grid(path).values.tobytes() == expected.tobytes()
+    # Each token alone among JSON numbers, which the JSON pass reads when the
+    # token is one and the blanks are single spaces, and the float() pass else.
+    for token in tokens:
+        for blank, newline in ((" ", "\n"), ("\t", "\n"), (" ", "\r\n"), (" ", "\r")):
+            lines = ["wigner-grid v1", "x -1 1 2", "p -1 1 2", f"-0{blank}{token}", "1e-0 2"]
+            path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+            expected = np.array([[-0.0, float(token)], [1.0, 2.0]])
+            assert load_grid(path).values.tobytes() == expected.tobytes(), (token, blank, newline)
+
+
+@pytest.mark.parametrize("token", ["1" + "0" * 309, "1e400", "-1e400"], ids=["1e309-int", "1e400", "-1e400"])
+def test_load_rejects_tokens_that_float_reads_as_infinite(tmp_path, token):
+    path = tmp_path / "inf.wig"
+    path.write_text(f"wigner-grid v1\nx -1 1 2\np -1 1 2\n1 {token}\n3 4\n", encoding="utf-8")
+    with pytest.raises(GridValueError, match="non-finite"):
+        load_grid(path)
+
+
+def test_json_pass_agrees_with_float_pass(tmp_path, monkeypatch):
+    # One seeded grid: random doubles over the whole range, subnormals, +-0.0,
+    # +-DBL_MAX, and integer tokens near 2**53 and 2**64 spliced into its text.
+    rng = np.random.default_rng(2027)
+    doubles = rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(float)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+                sys.float_info.max, -sys.float_info.max, 2.0**53, 2.0**53 + 2, 1 - 2.0**53]
+    values = np.concatenate([
+        specials,
+        rng.integers(1, 2**52, size=40, dtype=np.uint64).view(float),  # subnormals
+        rng.uniform(-1.0, 1.0, size=400),
+        doubles[np.isfinite(doubles)],
+    ])[: 33 * 40].reshape(33, 40)
+    grid = WignerGrid(-1.0, 1.0, 40, -1.0, 1.0, 33, values)
+    passes = []
+
+    def spy(rows, shape):
+        result = real(rows, shape)
+        passes.append("json" if result is not None else "float")
+        return result
+
+    real = wigner._json_values
+    monkeypatch.setattr(wigner, "_json_values", spy)
+
+    saved = tmp_path / "saved.wig"
+    save_grid(grid, saved)
+    lines = saved.read_text(encoding="utf-8").splitlines()
+    assert load_grid(saved).values.tobytes() == values.tobytes()
+    integers = ["9007199254740993", "-9007199254740995", "18446744073709551615",
+                "18446744073709551616", "-18446744073709553665", "-0", "0"]
+    rows = [row.split() for row in lines[4:]]
+    rows[0][: len(integers)] = integers
+    expected = np.array([[float(t) for t in row] for row in rows])
+    loaded = []
+    for name, blank, newline in (("spaces", " ", "\n"), ("tabs", "\t", "\r\n")):
+        path = tmp_path / f"{name}.wig"
+        text = newline.join(lines[:4] + [blank.join(row) for row in rows]) + newline
+        path.write_bytes(text.encode("utf-8"))
+        loaded.append(load_grid(path).values.tobytes())
+    assert passes == ["json", "json", "float"]
+    assert loaded[0] == loaded[1] == expected.tobytes()
 
 
 def test_load_rejects_non_utf8(tmp_path):
@@ -220,7 +285,9 @@ def test_load_checks_rows_before_sizing_from_header(tmp_path):
 
 
 GRID_TOKENS = ["x", "p", "scale", "0", "1", "-1", "2", "3", "0.5", "nan", "inf", "-inf",
-               "1e308", "-1e308", "1e400", "two", "1_0", ""]
+               "1e308", "-1e308", "1e400", "two", "1_0", "",
+               "-0", "01", "1.", "1e-0", "1E+05", "18446744073709551616", "1" + "0" * 309,
+               "true", "null", '"1"', "[1]", "1,2", "\t", "\r"]
 
 
 def _grid_text():
@@ -231,10 +298,29 @@ def _grid_text():
     )
 
 
-@given(st.one_of(st.binary(max_size=120), _grid_text()))
+def _data_block_text():
+    # A valid 2 x 2 header, so that the data block decides between the passes.
+    token = st.one_of(st.sampled_from(GRID_TOKENS), st.floats(allow_nan=False).map(repr))
+    row = st.tuples(token, st.sampled_from([" ", "  ", "\t"]), token).map("".join)
+    return st.tuples(row, row, st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda block: block[2].join(["wigner-grid v1", "x -1 1 2", "p -1 1 2", *block[:2]]).encode()
+    )
+
+
+def _float_reference(content):
+    """The values of a loadable grid file read token by token with float(), times its scale."""
+    lines = [line.strip() for line in io.TextIOWrapper(io.BytesIO(content), encoding="utf-8")]
+    lines = [line for line in lines if line]
+    start = 4 if len(lines) > 3 and lines[3].startswith("scale") else 3
+    scale = float(lines[3].split()[1]) if start == 4 else 1.0
+    return np.array([[float(t) for t in row.split()] for row in lines[start:]]) * scale
+
+
+@given(st.one_of(st.binary(max_size=120), _grid_text(), _data_block_text()))
 @settings(max_examples=400, deadline=None)
 def test_load_grid_fuzz(content):
-    # Any file either loads or raises a WignerFormatError, never anything else.
+    # Any file either loads, to the values float() reads, or raises a
+    # WignerFormatError, never anything else.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.wig"
         path.write_bytes(content)
@@ -243,6 +329,7 @@ def test_load_grid_fuzz(content):
         except WignerFormatError:
             return
     assert isinstance(grid, WignerGrid)
+    assert grid.values.tobytes() == _float_reference(content).tobytes()
 
 
 def test_reconstruct_vacuum():
